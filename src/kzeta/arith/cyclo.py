@@ -9,8 +9,10 @@ prime above p is read off the absolute norm:
 
     v_pi(x) = v_p(norm(numerator)) - phi(p**n) * v_p(denominator).
 
-Norms are resultants of the level's cyclotomic polynomial with the
-representing polynomial.
+Norms are resultants Res(Phi_{p**n}, P) of the level's cyclotomic
+polynomial with the representing polynomial P, computed by the multi-modular
+`poly.resultant` (P reduced mod Phi_{p**n}, residues mod word-sized primes,
+CRT up to the Hadamard bound).
 """
 
 from __future__ import annotations
@@ -197,14 +199,11 @@ def galois_apply(x: CyclotomicElement, a: int) -> CyclotomicElement:
 def norm(x: CyclotomicElement) -> int:
     """Absolute norm down to Z, multiplicative, as a resultant.
 
-    norm(x) = Res(Phi_{p**n}, P) where P represents x on the power basis.
+    norm(x) = Res(Phi_{p**n}, P) where P represents x on the power basis;
+    `resultant` computes it exactly from residues mod primes p < 2**61,
+    CRT-reconstructed against the Hadamard bound.
     """
-    p = x.as_poly()
-    if p.is_zero():
-        return 0
-    if p.degree == 0:
-        return p.coeffs[0] ** x.level.degree
-    return resultant(x.level.minimal_polynomial(), p)
+    return resultant(x.level.minimal_polynomial(), x.as_poly())
 
 
 @dataclasses.dataclass(frozen=True)

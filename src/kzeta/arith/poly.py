@@ -3,14 +3,19 @@
 Coefficients are stored lowest degree first in a trimmed tuple (no trailing
 zeros, zero polynomial is the empty tuple).  Entries may be int or
 fractions.Fraction; the two mix freely.  Includes cyclotomic polynomials and
-an integer resultant (fraction-free Gaussian elimination on the Sylvester
-matrix), which is how absolute norms of cyclotomic integers are computed.
+the integer resultant, which is how absolute norms of cyclotomic integers are
+computed.  The resultant is multi-modular (Collins): for monic f it first
+reduces g mod f over Z, then computes Res mod primes p < 2**61 by the
+Euclidean algorithm over F_p and rebuilds the exact value by CRT against the
+Hadamard bound on the Sylvester determinant.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+import threading
 from fractions import Fraction
 
 from .factor import is_prime
@@ -147,19 +152,10 @@ class Poly:
 
     def denominator_lcm(self) -> int:
         """lcm of coefficient denominators (1 for integer polynomials)."""
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // _gcd(d, c.denominator)
-        return d
+        return math.lcm(*(c.denominator for c in self.coeffs))
 
     def __repr__(self):
         return "Poly(%s)" % (list(self.coeffs),)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _coerce(v) -> Poly:
@@ -206,52 +202,109 @@ def cyclotomic_polynomial_any(d: int) -> Poly:
 
 
 def resultant(f: Poly, g: Poly) -> int:
-    """Res(f, g) for integer polynomials, as a determinant of the Sylvester
-    matrix computed by the Bareiss fraction-free algorithm.
+    """Res(f, g) for integer polynomials, by Collins' multi-modular method.
 
     For monic f this equals the product of g over the roots of f, i.e. the
-    absolute norm of g(alpha) in Z[alpha] = Z[x]/(f).
+    absolute norm of g(alpha) in Z[alpha] = Z[x]/(f); g is then first
+    replaced by g mod f over Z, which leaves the resultant unchanged.  The
+    resultant is computed mod primes p < 2**61 that do not divide
+    lc(f)*lc(g), by the Euclidean algorithm over F_p, and rebuilt by CRT in
+    the symmetric range once the modulus exceeds twice the Hadamard bound
+    ||f||_2**deg(g) * ||g||_2**deg(f) on the Sylvester determinant.
+
+    Raises TypeError for non-integer coefficients.
 
     >>> resultant(cyclotomic_polynomial(3, 2), Poly([1, -1]))
     3
     >>> resultant(cyclotomic_polynomial(3, 1), Poly([2]))
     4
     """
-    n, m = f.degree, g.degree
-    if n < 0 or m < 0:
+    for c in f.coeffs + g.coeffs:
+        if not isinstance(c, int):
+            raise TypeError("resultant needs integer coefficients, got %r" % (c,))
+    n = f.degree
+    if n < 0 or g.is_zero():
         return 0
+    if n > 0 and f.coeffs[-1] == 1:
+        g = g % f
+        if g.is_zero():
+            return 0
+    m = g.degree
     if n == 0:
         return f.coeffs[0] ** m
     if m == 0:
         return g.coeffs[0] ** n
-    size = n + m
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([0] * i + fc + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gc + [0] * (size - m - 1 - i))
-    return _bareiss_det(rows)
+    # |Res| <= B with B**2 = (sum f_i**2)**m * (sum g_i**2)**n, so a modulus
+    # above 2 * (isqrt(B**2) + 1) determines Res in the symmetric range.
+    bound_sq = sum(c * c for c in f.coeffs) ** m * sum(c * c for c in g.coeffs) ** n
+    target = 2 * (math.isqrt(bound_sq) + 1)
+    lead = f.coeffs[-1] * g.coeffs[-1]
+    fd = f.coeffs[::-1]
+    gd = g.coeffs[::-1]
+    value, modulus = 0, 1
+    for p in _crt_primes():
+        if modulus > target:
+            break
+        if lead % p == 0:
+            continue
+        r = _resultant_mod_p([c % p for c in fd], [c % p for c in gd], p)
+        # Garner step: the unique value mod modulus*p matching both residues
+        value += modulus * ((r - value % p) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return value - modulus if 2 * value > modulus else value
 
 
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p for coefficient lists, highest degree first, with
+    nonzero leading entries and degrees >= 1.
+
+    Euclid: for r = a mod b of degree k, Res(a, b) = (-1)**(deg a * deg b)
+    * lc(b)**(deg a - k) * Res(b, r).  After a first swap that puts the
+    larger degree in a, every step keeps deg a >= deg b.
+    """
+    acc = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            acc = -1
+    while True:
+        n, m = len(a) - 1, len(b) - 1
+        if m == 0:
+            return acc * pow(b[0], n, p) % p
+        lc = b[0]
+        inv = pow(lc, -1, p)
+        tail = b[1:]
+        rem = a[:]
+        for i in range(n - m + 1):
+            q = rem[i] * inv % p
+            if q:
+                for j, c in enumerate(tail, i + 1):
+                    rem[j] = (rem[j] - q * c) % p
+        rem = rem[n - m + 1 :]
+        while rem and rem[0] == 0:
+            del rem[0]
+        if not rem:
+            return 0
+        if n & m & 1:
+            acc = -acc
+        acc = acc * pow(lc, n - len(rem) + 1, p) % p
+        a, b = b, rem
+
+
+_CRT_PRIMES: list[int] = []
+_CRT_PRIMES_LOCK = threading.Lock()
+
+
+def _crt_primes():
+    """The primes below 2**61 in descending order, found lazily and cached."""
+    i = 0
+    while True:
+        if i == len(_CRT_PRIMES):
+            with _CRT_PRIMES_LOCK:
+                if i == len(_CRT_PRIMES):
+                    c = _CRT_PRIMES[-1] - 2 if _CRT_PRIMES else 2**61 - 1
+                    while not is_prime(c):
+                        c -= 2
+                    _CRT_PRIMES.append(c)
+        yield _CRT_PRIMES[i]
+        i += 1

@@ -10,7 +10,10 @@ where D = lcm(denominator(B_0), ..., denominator(B_n)) and
 N_a = D * sum_i C(n,i) B_i f^i a^(n-i) is an integer.  Characters of
 prime-power order live in Z[zeta_{p^N}]; a full Galois orbit of characters of
 arbitrary order d is handled through the norm form Res(Phi_d, P) / (f*D)^phi(d)
-with P(y) = sum_a N_a y^(t_a), which never leaves the rationals.
+with P(y) = sum_a N_a y^(t_a), which never leaves the rationals.  The
+resultant is multi-modular: P is reduced mod Phi_d over Z, Res is taken mod
+word-sized primes by the Euclidean algorithm, and the exact integer is rebuilt
+by CRT once the modulus passes twice the Hadamard bound.
 """
 
 from __future__ import annotations
