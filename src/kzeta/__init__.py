@@ -12,7 +12,6 @@ from .characters import (
     DirichletCharacter,
     FieldSpec,
     UnitGroupStructure,
-    characters_of_field,
     ghat_stratum,
     trivial_character,
     unit_group,
@@ -58,7 +57,6 @@ __all__ = [
     "DirichletCharacter",
     "FieldSpec",
     "UnitGroupStructure",
-    "characters_of_field",
     "ghat_stratum",
     "trivial_character",
     "unit_group",

@@ -8,8 +8,11 @@ chi(a) = zeta_ord**t, and consumers materialize zeta_ord**t in whatever
 cyclotomic ring they need.  This keeps characters level-free; a character of
 order p**b can later be evaluated at any level >= b.
 
-Discrete logarithms run Pohlig-Hellman on the factored generator order with
-baby-step giant-step for each prime chunk; all orders in scope are small.
+Sums over all units go through walk(), which enumerates (Z/mZ)^* as products
+of the generators and carries the exponent along, so it takes no discrete
+log at all.  evaluate() is kept for single values: its discrete logarithms
+run Pohlig-Hellman on the factored generator order with baby-step giant-step
+for each prime chunk; all orders in scope are small.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ def _smallest_primitive_root(q: int, p: int) -> int:
 class _LocalGen:
     """One generator of a CRT component, with everything dlog needs."""
 
+    prime: int
     prime_power: int
     residue: int
     order: int
@@ -160,18 +164,18 @@ def unit_group(m: int) -> UnitGroupStructure:
             if e == 1:
                 continue
             if e == 2:
-                locs.append(_LocalGen(4, 3, 2, ((2, 1),), "minus"))
+                locs.append(_LocalGen(2, 4, 3, 2, ((2, 1),), "minus"))
                 gens.append((_crt_lift(3, 4, m), 2))
                 continue
-            locs.append(_LocalGen(q, q - 1, 2, ((2, 1),), "minus"))
+            locs.append(_LocalGen(2, q, q - 1, 2, ((2, 1),), "minus"))
             gens.append((_crt_lift(q - 1, q, m), 2))
             o5 = q // 4
-            locs.append(_LocalGen(q, 5, o5, ((2, e - 2),), "five"))
+            locs.append(_LocalGen(2, q, 5, o5, ((2, e - 2),), "five"))
             gens.append((_crt_lift(5, q, m), o5))
         else:
             g = _smallest_primitive_root(q, p)
             phi = q // p * (p - 1)
-            locs.append(_LocalGen(q, g, phi, tuple(factorize(phi)), "odd"))
+            locs.append(_LocalGen(p, q, g, phi, tuple(factorize(phi)), "odd"))
             gens.append((_crt_lift(g, q, m), phi))
     return UnitGroupStructure(m, tuple(gens), tuple(locs))
 
@@ -224,12 +228,50 @@ class DirichletCharacter:
             raise AssertionError("character value is not an order-th root of unity")
         return (s // step) % self.order
 
+    def walk(self):
+        """Yield (a mod m, t) with chi(a) = zeta_{order}**t, once for every unit a.
+
+        A mixed-radix odometer over the generators: stepping g_i multiplies a
+        by g_i and adds e_i*order/o_i to t.  After o_i steps both are back
+        where they started, so a digit that rolls over needs no correction
+        of a or t.
+        """
+        m, d = self.modulus, self.order
+        gens = [
+            (g, o, e * d // o) for e, (g, o) in zip(self.exponents, self.group.generators)
+        ]
+        if not gens:
+            yield 1 % m, 0
+            return
+        (g0, o0, s0), rest = gens[0], gens[1:]
+        digits = [0] * len(rest)
+        a, t = 1, 0
+        while True:
+            for _ in range(o0):
+                yield a, t
+                a = a * g0 % m
+                t = (t + s0) % d
+            for i, (g, o, s) in enumerate(rest):
+                a = a * g % m
+                t = (t + s) % d
+                digits[i] += 1
+                if digits[i] < o:
+                    break
+                digits[i] = 0
+            else:
+                return
+
     @functools.cached_property
     def is_even(self) -> bool:
-        """chi(-1) = 1.  Characters of odd order are automatically even."""
-        if self.modulus <= 2:
-            return True
-        return self.evaluate(self.modulus - 1) == 0
+        """chi(-1) = 1, read off the exponents: -1 is g**(o/2) on every 'odd'
+        and 'minus' component and 1 on the 'five' component."""
+        d = self.order
+        t = sum(
+            e * d // loc.order * (loc.order // 2)
+            for e, loc in zip(self.exponents, self.group.locals_)
+            if loc.kind != "five"
+        )
+        return t % d == 0
 
     @functools.cached_property
     def conductor(self) -> int:
@@ -249,8 +291,7 @@ class DirichletCharacter:
                 e = self.exponents[i]
                 oc = o // math.gcd(o, e)
                 if oc > 1:
-                    p = factorize(loc.prime_power)[0][0]
-                    f *= p ** (1 + valuation(oc, p))
+                    f *= loc.prime ** (1 + valuation(oc, loc.prime))
                 i += 1
             elif loc.kind == "minus" and i + 1 < len(locs) and locs[i + 1].kind == "five":
                 s, t = self.exponents[i], self.exponents[i + 1]
@@ -481,11 +522,6 @@ def _product(ranges):
     for v in head:
         for rest in _product(tail):
             yield (v,) + rest
-
-
-def characters_of_field(spec: FieldSpec) -> frozenset:
-    """The character group of the field; see FieldSpec.characters."""
-    return spec.characters
 
 
 def ghat_stratum(spec: FieldSpec, p: int, j: int) -> frozenset:

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
-from .characters import DirichletCharacter, FieldSpec
+from .characters import FieldSpec, trivial_character
 from .lfun import product_valuation, zeta_value_negative
 
 
@@ -76,17 +76,26 @@ def w_invariant(spec: FieldSpec, j: int) -> int:
 
 
 def _w_condition(chars, q: int, nu: int, j: int) -> bool:
-    """Does every a in the Galois image in (Z/q^nu)^* satisfy a^j = 1?"""
+    """Does every a in the Galois image in (Z/q^nu)^* satisfy a^j = 1?
+
+    The image is the common kernel of the characters of conductor dividing
+    q^nu.  They form a subgroup of the field's character group, and since F
+    is real they are trivial on -1, so they are characters of the cyclic
+    group (Z/q^nu)^*/{+-1}.  A subgroup of a cyclic group is generated by any
+    member of largest order, so the image is the kernel of that one
+    character, read off a single walk of (Z/q^nu)^*.
+    """
     mod = q**nu
-    rel = [chi for chi in chars if mod % chi.conductor == 0]
-    for a in range(1, mod):
-        if a % q == 0:
-            continue
-        if any(chi.evaluate(a) != 0 for chi in rel):
-            continue
-        if pow(a, j, mod) != 1:
-            return False
-    return True
+    psi = max(
+        (chi for chi in chars if mod % chi.conductor == 0),
+        key=lambda chi: chi.order,
+        default=trivial_character(),
+    )
+    if psi.is_trivial():
+        image = (a for a in range(1, mod) if a % q)
+    else:
+        image = (a for a, t in psi.lift_to(mod).walk() if t == 0)
+    return all(pow(a, j, mod) == 1 for a in image)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -283,7 +292,6 @@ def divisibility_verdict(p: int, m: int, k: int, variant: str = "plus") -> Verdi
         variant == "plus"
         and is_prime(m)
         and m == 2 * p + 1
-        and valuation(m - 1, p) == 1
         and (k - (p - 2)) % period == 0
     ):
         slugs = ["prime-conductor-criterion"]

@@ -62,7 +62,9 @@ def _numerator_coefficients(n: int, f: int, big_d: int) -> list[int]:
 
 
 def _value_buckets(chi: DirichletCharacter, n: int) -> tuple[int, int, dict[int, int]]:
-    """Sum the integer weights N_a by character exponent t = chi-dlog(a).
+    """Sum the integer weights N_a by the character exponent t of a, where
+    chi(a) = zeta_ord^t.  The units a in [1, f] come from chi.walk(), so no
+    discrete log is taken.
 
     Returns (f, D, {t: sum of N_a over a with chi(a) = zeta_ord^t}).
     """
@@ -70,10 +72,8 @@ def _value_buckets(chi: DirichletCharacter, n: int) -> tuple[int, int, dict[int,
     big_d = _bernoulli_denominator_lcm(n)
     coeffs = _numerator_coefficients(n, f, big_d)
     buckets: dict[int, int] = {}
-    for a in range(1, f + 1):
-        t = chi.evaluate(a)
-        if t is None:
-            continue
+    for a, t in chi.walk():
+        a = a or f  # the walk mod 1 yields the residue 0
         v = 0
         for c in coeffs:
             v = v * a + c

@@ -4,6 +4,8 @@ descriptions."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzeta.characters import (
     DirichletCharacter,
@@ -141,6 +143,26 @@ def test_character_order_and_parity():
             t = chi.evaluate(m - 1) if m > 2 else 0
             assert chi.is_even == (t == 0)
             assert t in (0, d // 2 if d % 2 == 0 else 0)
+
+
+# 1, 2, 4, 8, 2^k times an odd number, three-factor composites, and the rest
+# of the small moduli
+MODULI = st.one_of(
+    st.sampled_from([1, 2, 4, 8, 16, 32, 24, 40, 96, 105, 120, 180, 252, 280]),
+    st.integers(1, 150),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(MODULI)
+def test_walk_matches_dlog_evaluation(m):
+    g = unit_group(m)
+    for exps in _all_exponent_tuples(g):
+        chi = DirichletCharacter(g, exps)
+        walked = list(chi.walk())
+        assert len(walked) == g.phi
+        assert dict(walked) == {a % m: chi.evaluate(a) for a in units(m)}
+        assert chi.is_even == (chi.evaluate(m - 1) == 0)
 
 
 def test_primitive_round_trip():

@@ -4,8 +4,10 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kzeta.arith import valuation
+from kzeta.arith import primes_up_to, valuation
 from kzeta.characters import FieldSpec
 from kzeta.ktheory import (
     ComputationError,
@@ -49,6 +51,48 @@ def test_w_invariant_p_part():
         assert valuation(w_invariant(spec, k + 1), p) == 0, (p, m, k)
 
 
+def brute_w_condition(chars, q, nu, j):
+    # every a < q^nu, tested against every character of conductor dividing q^nu
+    mod = q**nu
+    rel = [chi for chi in chars if mod % chi.conductor == 0]
+    for a in range(1, mod):
+        if a % q == 0:
+            continue
+        if any(chi.evaluate(a) != 0 for chi in rel):
+            continue
+        if pow(a, j, mod) != 1:
+            return False
+    return True
+
+
+def brute_w_invariant(spec, j):
+    chars = spec.sorted_characters()
+    out = 1
+    for q in [2] + [q for q in primes_up_to(j * len(chars) + 1) if q != 2]:
+        nu = 0
+        while brute_w_condition(chars, q, nu + 1, j):
+            nu += 1
+        out *= q**nu
+    return out
+
+
+W_SPECS = st.one_of(
+    st.builds(FieldSpec.real_cyclotomic, st.integers(1, 45)),
+    st.builds(
+        FieldSpec.max_p_subextension, st.integers(2, 250), st.sampled_from([3, 5, 7])
+    ),
+    st.sampled_from([(7, 3), (13, 3), (31, 3), (11, 5), (31, 5), (29, 7), (23, 11)]).map(
+        lambda args: FieldSpec.prime_cyclic_subfield(*args)
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(W_SPECS, st.integers(1, 12))
+def test_w_invariant_matches_brute_force(spec, j):
+    assert w_invariant(spec, j) == brute_w_invariant(spec, j)
+
+
 def test_k_orders_of_the_integers():
     # classical orders of K_{2k}(Z): 2, 1, 2, 1, 2, 691 for k = 1,3,...,11
     q = FieldSpec.rationals()
@@ -76,6 +120,12 @@ def test_k_order_report_consistency():
     assert skipped.factorization is None
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.order = 1
+
+
+def test_k_order_prime_cyclic_conductor_100003():
+    # recorded while the bucket sums still took one discrete log per residue
+    report = k_order(FieldSpec.prime_cyclic_subfield(100003, 3), 1)
+    assert report.order == 3310934223800
 
 
 def test_k_order_input_validation():

@@ -19,7 +19,13 @@ from kzeta.arith import (
     pi_valuation,
     rational_part,
 )
-from kzeta.characters import DirichletCharacter, FieldSpec, trivial_character, unit_group
+from kzeta.characters import (
+    DirichletCharacter,
+    FieldSpec,
+    UnitGroupStructure,
+    trivial_character,
+    unit_group,
+)
 from kzeta.lfun import (
     char_bernoulli_pi_valuation,
     generalized_bernoulli,
@@ -232,6 +238,21 @@ def test_zeta_matches_levelwise_orbit_products():
                 prod = value if prod is None else prod * value
             total *= rational_part(prod)
         assert total == zeta_value_negative(spec, k), (spec.describe(), k)
+
+
+@pytest.mark.parametrize("ell, p", [(4003, 3), (4001, 5)])
+def test_zeta_takes_no_dlog_per_residue(monkeypatch, ell, p):
+    calls = []
+    dlog = UnitGroupStructure.dlog
+
+    def counting_dlog(self, a):
+        calls.append(a)
+        return dlog(self, a)
+
+    monkeypatch.setattr(UnitGroupStructure, "dlog", counting_dlog)
+    spec = FieldSpec.prime_cyclic_subfield(ell, p)
+    zeta_value_negative(spec, p - 2)
+    assert len(calls) <= 4 * spec.degree
 
 
 def test_congruence_valuations():
