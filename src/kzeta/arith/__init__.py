@@ -12,15 +12,12 @@ from .factor import (
     primes_up_to,
     valuation,
 )
-from .poly import Poly, cyclotomic_polynomial, cyclotomic_polynomial_any, resultant
+from .poly import Poly, cyclotomic_polynomial_any, resultant
 from .cyclo import (
     CyclotomicElement,
     CyclotomicLevel,
     CyclotomicRational,
-    embed,
     galois_apply,
-    norm,
-    pi_valuation,
     rational_part,
 )
 
@@ -29,15 +26,11 @@ __all__ = [
     "CyclotomicLevel",
     "CyclotomicRational",
     "Poly",
-    "cyclotomic_polynomial",
     "cyclotomic_polynomial_any",
-    "embed",
     "factorization_string",
     "factorize",
     "galois_apply",
     "is_prime",
-    "norm",
-    "pi_valuation",
     "primes_up_to",
     "rational_part",
     "resultant",

@@ -2,17 +2,10 @@
 
 Elements are dense integer coefficient vectors on the power basis
 1, zeta, ..., zeta**(phi(p**n)-1) at a fixed level (p, n).  Levels never mix
-implicitly: operands at different levels raise, and changing level is the
-explicit job of embed().  p is totally ramified in Z[zeta] with (p) =
-(1 - zeta)**phi(p**n) and residue degree 1, so the valuation at the unique
-prime above p is read off the absolute norm:
-
-    v_pi(x) = v_p(norm(numerator)) - phi(p**n) * v_p(denominator).
-
-Norms are resultants Res(Phi_{p**n}, P) of the level's cyclotomic
-polynomial with the representing polynomial P, computed by the multi-modular
-`poly.resultant` (P reduced mod Phi_{p**n}, residues mod word-sized primes,
-CRT up to the Hadamard bound).
+implicitly: operands at different levels raise.  This ring carries the
+values B_{n,chi} that `lfun.generalized_bernoulli` returns; norms and
+pi-adic valuations are not taken here but in `lfun`, as rational products
+over Galois orbits of characters.
 """
 
 from __future__ import annotations
@@ -21,8 +14,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .factor import is_prime, valuation
-from .poly import Poly, cyclotomic_polynomial, resultant
+from .factor import is_prime
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,9 +39,6 @@ class CyclotomicLevel:
     def degree(self) -> int:
         """phi(p**n), the rank of the ring over Z."""
         return self.p ** (self.n - 1) * (self.p - 1)
-
-    def minimal_polynomial(self) -> Poly:
-        return cyclotomic_polynomial(self.p, self.n)
 
     def __repr__(self):
         return "CyclotomicLevel(%d, %d)" % (self.p, self.n)
@@ -161,28 +150,6 @@ class CyclotomicElement:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_poly(self) -> Poly:
-        return Poly(self.coeffs)
-
-
-def embed(x: CyclotomicElement, n: int) -> CyclotomicElement:
-    """Ring embedding Z[zeta_{p**b}] -> Z[zeta_{p**n}], zeta |-> zeta**(p**(n-b)).
-
-    Requires n >= b.  Norms scale by the relative degree, so
-    v_pi(embed(x, n)) = p**(n-b) * v_pi(x).
-    """
-    b = x.level.n
-    if n < b:
-        raise ValueError("cannot embed level exponent %d into smaller %d" % (b, n))
-    if n == b:
-        return x
-    target = CyclotomicLevel(x.level.p, n)
-    step = x.level.p ** (n - b)
-    out = [0] * (x.level.degree * step)
-    for e, c in enumerate(x.coeffs):
-        out[e * step] = c
-    return CyclotomicElement.make(target, out)
-
 
 def galois_apply(x: CyclotomicElement, a: int) -> CyclotomicElement:
     """The automorphism zeta |-> zeta**a for gcd(a, p) = 1."""
@@ -194,16 +161,6 @@ def galois_apply(x: CyclotomicElement, a: int) -> CyclotomicElement:
         if c:
             out[(e * a) % mod] += c
     return CyclotomicElement.make(x.level, out)
-
-
-def norm(x: CyclotomicElement) -> int:
-    """Absolute norm down to Z, multiplicative, as a resultant.
-
-    norm(x) = Res(Phi_{p**n}, P) where P represents x on the power basis;
-    `resultant` computes it exactly from residues mod primes p < 2**61,
-    CRT-reconstructed against the Hadamard bound.
-    """
-    return resultant(x.level.minimal_polynomial(), x.as_poly())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,24 +227,6 @@ class CyclotomicRational:
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-
-def pi_valuation(x) -> int | float:
-    """Valuation at the unique prime (1 - zeta) above p; +inf for 0.
-
-    Accepts a CyclotomicElement or CyclotomicRational.  Exact for any
-    denominator (the denominator contributes -phi(p**n) * v_p(den)).
-    """
-    if isinstance(x, CyclotomicRational):
-        if x.numerator.is_zero():
-            return math.inf
-        lvl = x.level
-        return pi_valuation(x.numerator) - lvl.degree * valuation(
-            x.denominator, lvl.p
-        )
-    if x.is_zero():
-        return math.inf
-    return valuation(norm(x), x.level.p)
 
 
 def rational_part(x: CyclotomicRational) -> Fraction:

@@ -20,15 +20,11 @@ _small_primes: list[int] | None = None
 
 
 def small_primes() -> list[int]:
-    """Primes below the trial-division bound, sieved once and cached."""
+    """Primes below the trial-division bound, sieved once and kept for the
+    life of the process."""
     global _small_primes
     if _small_primes is None:
-        sieve = bytearray([1]) * _TRIAL_BOUND
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(_TRIAL_BOUND) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _small_primes = [i for i in range(_TRIAL_BOUND) if sieve[i]]
+        _small_primes = primes_up_to(_TRIAL_BOUND - 1)
     return _small_primes
 
 

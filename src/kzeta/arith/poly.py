@@ -3,11 +3,11 @@
 Coefficients are stored lowest degree first in a trimmed tuple (no trailing
 zeros, zero polynomial is the empty tuple).  Entries may be int or
 fractions.Fraction; the two mix freely.  Includes cyclotomic polynomials and
-the integer resultant, which is how absolute norms of cyclotomic integers are
-computed.  The resultant is multi-modular (Collins): for monic f it first
-reduces g mod f over Z, then computes Res mod primes p < 2**61 by the
-Euclidean algorithm over F_p and rebuilds the exact value by CRT against the
-Hadamard bound on the Sylvester determinant.
+the integer resultant, which is how `lfun` takes the norms of Galois orbits
+of generalized Bernoulli numbers.  The resultant is multi-modular (Collins):
+for monic f it first reduces g mod f over Z, then computes Res mod primes
+p < 2**61 by the Euclidean algorithm over F_p and rebuilds the exact value by
+CRT against the Hadamard bound on the Sylvester determinant.
 """
 
 from __future__ import annotations
@@ -164,23 +164,6 @@ def _coerce(v) -> Poly:
     return Poly((v,))
 
 
-def cyclotomic_polynomial(p: int, n: int) -> Poly:
-    """Phi_{p**n} = sum_{j<p} x**(j * p**(n-1)), for p prime, n >= 1.
-
-    >>> cyclotomic_polynomial(3, 2).coeffs
-    (1, 0, 0, 1, 0, 0, 1)
-    """
-    if n < 1:
-        raise ValueError("cyclotomic level exponent must be >= 1, got %r" % (n,))
-    if not is_prime(p):
-        raise ValueError("cyclotomic level base %r is not prime" % (p,))
-    q = p ** (n - 1)
-    coeffs = [0] * ((p - 1) * q + 1)
-    for j in range(p):
-        coeffs[j * q] = 1
-    return Poly(coeffs)
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial_any(d: int) -> Poly:
     """Phi_d for arbitrary d >= 1, via (x**d - 1) / prod over proper divisors.
@@ -214,9 +197,9 @@ def resultant(f: Poly, g: Poly) -> int:
 
     Raises TypeError for non-integer coefficients.
 
-    >>> resultant(cyclotomic_polynomial(3, 2), Poly([1, -1]))
+    >>> resultant(cyclotomic_polynomial_any(9), Poly([1, -1]))
     3
-    >>> resultant(cyclotomic_polynomial(3, 1), Poly([2]))
+    >>> resultant(cyclotomic_polynomial_any(3), Poly([2]))
     4
     """
     for c in f.coeffs + g.coeffs:

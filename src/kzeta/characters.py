@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 from .arith import factorize, is_prime, valuation
@@ -431,27 +432,19 @@ class FieldSpec:
 
     @functools.cached_property
     def characters(self) -> frozenset:
-        """The character group X_F as primitive even characters."""
+        """The character group X_F as primitive even characters: those
+        killed by the group exponent of (Z/m)^* (real-cyclotomic), by its
+        p-part (max-p), or by p (prime-cyclic)."""
         if self.kind == "explicit":
             return self.explicit_chars
-        if self.kind == "real-cyclotomic":
-            if self.m <= 2:
-                return frozenset([trivial_character()])
-            return frozenset(
-                chi.primitive() for chi in _all_characters(self.m) if chi.is_even
-            )
+        exponent = unit_group(self.m).exponent
         if self.kind == "max-p":
-            return frozenset(
-                chi.primitive() for chi in _p_power_characters(self.m, self.p)
-            )
-        if self.kind == "prime-cyclic":
-            g = unit_group(self.m)
-            (_, o), = g.generators
-            step = o // self.p
-            return frozenset(
-                DirichletCharacter(g, (j * step,)).primitive() for j in range(self.p)
-            )
-        raise ValueError("unknown field spec kind %r" % (self.kind,))
+            exponent = self.p ** valuation(exponent, self.p)
+        elif self.kind == "prime-cyclic":
+            exponent = self.p
+        elif self.kind != "real-cyclotomic":
+            raise ValueError("unknown field spec kind %r" % (self.kind,))
+        return _even_characters_of_exponent(self.m, exponent)
 
     def sorted_characters(self) -> list:
         return sorted(self.characters, key=lambda c: c.sort_key())
@@ -494,34 +487,17 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def _all_characters(m: int):
+def _even_characters_of_exponent(m: int, exponent: int) -> frozenset:
+    """The primitive characters inducing the even chi mod m with
+    chi**exponent = 1.
+
+    chi**exponent = 1 exactly when each generator exponent e_i is a multiple
+    of o_i / gcd(o_i, exponent), o_i the generator's order.
+    """
     g = unit_group(m)
-    ranges = [range(o) for _, o in g.generators]
-    for exps in _product(ranges):
-        yield DirichletCharacter(g, exps)
-
-
-def _p_power_characters(m: int, p: int):
-    # Component exponent e_i gives a p-power-order component iff the prime-to-p
-    # part of the generator order divides e_i.
-    g = unit_group(m)
-    ranges = []
-    for _, o in g.generators:
-        pc = p ** valuation(o, p) if o % p == 0 else 1
-        t = o // pc
-        ranges.append(range(0, o, t) if pc > 1 else range(1))
-    for exps in _product(ranges):
-        yield DirichletCharacter(g, exps)
-
-
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    head, *tail = ranges
-    for v in head:
-        for rest in _product(tail):
-            yield (v,) + rest
+    ranges = [range(0, o, o // math.gcd(o, exponent)) for _, o in g.generators]
+    chars = (DirichletCharacter(g, exps) for exps in itertools.product(*ranges))
+    return frozenset(chi.primitive() for chi in chars if chi.is_even)
 
 
 def ghat_stratum(spec: FieldSpec, p: int, j: int) -> frozenset:

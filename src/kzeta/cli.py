@@ -14,7 +14,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import CyclotomicLevel, factorization_string, factorize, valuation
+from .arith import (
+    CyclotomicLevel,
+    factorization_string,
+    factorize,
+    rational_part,
+    valuation,
+)
 from .characters import DirichletCharacter, FieldSpec, unit_group
 from .ktheory import (
     ComputationError,
@@ -185,9 +191,7 @@ def cmd_genbernoulli(args) -> int:
     value = generalized_bernoulli(chi, args.n, level)
     rational = None
     if value.numerator.is_rational():
-        rational = _fraction_str(
-            Fraction(value.numerator.coeffs[0], value.denominator)
-        )
+        rational = _fraction_str(rational_part(value))
     result = {
         "conductor": chi.conductor,
         "order": chi.order,

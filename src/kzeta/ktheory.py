@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
 from .characters import FieldSpec, trivial_character
-from .lfun import product_valuation, zeta_value_negative
+from .lfun import zeta_value_negative
 
 
 class ComputationError(RuntimeError):

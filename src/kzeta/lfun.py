@@ -7,13 +7,17 @@ Everything is exact.  For a primitive character chi of conductor f and n >= 2,
               = (1 / (f*D)) * sum_a chi(a) * N_a
 
 where D = lcm(denominator(B_0), ..., denominator(B_n)) and
-N_a = D * sum_i C(n,i) B_i f^i a^(n-i) is an integer.  Characters of
-prime-power order live in Z[zeta_{p^N}]; a full Galois orbit of characters of
-arbitrary order d is handled through the norm form Res(Phi_d, P) / (f*D)^phi(d)
-with P(y) = sum_a N_a y^(t_a), which never leaves the rationals.  The
-resultant is multi-modular: P is reduced mod Phi_d over Z, Res is taken mod
-word-sized primes by the Euclidean algorithm, and the exact integer is rebuilt
-by CRT once the modulus passes twice the Hadamard bound.
+N_a = D * sum_i C(n,i) B_i f^i a^(n-i) is an integer.  generalized_bernoulli
+returns B_{n,chi} itself, in Z[zeta_{p^N}] for chi of prime-power order.
+Zeta values, pi-adic valuations and product valuations all go through one
+rational quantity instead: the product of B_{n,chi^a} over a Galois orbit of
+characters of order d, which is Res(Phi_d, P) / (f*D)^phi(d) with
+P(y) = sum_a N_a y^(t_a).  The resultant is multi-modular: P is reduced mod
+Phi_d over Z, Res is taken mod word-sized primes by the Euclidean algorithm,
+and the exact integer is rebuilt by CRT once the modulus passes twice the
+Hadamard bound.  Since p is totally ramified in Q(zeta_{p^N}), the valuation
+at pi = 1 - zeta_{p^N} of B_{n,chi}, chi of order p^b, is p^(N-b) times v_p
+of its orbit product.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .arith import (
     cyclotomic_polynomial_any,
     factorize,
     is_prime,
-    pi_valuation,
     resultant,
     valuation,
 )
@@ -42,6 +45,14 @@ RATIONAL_LEVEL = CyclotomicLevel(2, 1)  # Q(zeta_2) = Q; carries rational values
 def _prime_power_base(d: int) -> int | None:
     fs = factorize(d)
     return fs[0][0] if len(fs) == 1 else None
+
+
+def _require_primitive(chi: DirichletCharacter) -> None:
+    if not chi.is_primitive():
+        raise ValueError(
+            "character must be primitive (conductor %d != modulus %d)"
+            % (chi.conductor, chi.modulus)
+        )
 
 
 def _bernoulli_denominator_lcm(n: int) -> int:
@@ -93,11 +104,7 @@ def generalized_bernoulli(
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError("n must be an integer >= 2, got %r" % (n,))
-    if not chi.is_primitive():
-        raise ValueError(
-            "character must be primitive (conductor %d != modulus %d)"
-            % (chi.conductor, chi.modulus)
-        )
+    _require_primitive(chi)
     d = chi.order
     if d == 1:
         lv = RATIONAL_LEVEL if level is None else level
@@ -129,39 +136,26 @@ def l_value_negative(
     return generalized_bernoulli(chi, k + 1, level).scale_rational(Fraction(-1, k + 1))
 
 
-def _orbit_l_product(chi: DirichletCharacter, k: int) -> Fraction:
-    """Product of L(chi^a, -k) over a coprime to d = ord(chi), as a rational.
+def _orbit_bernoulli_product(chi: DirichletCharacter, n: int) -> Fraction:
+    """Product of B_{n,chi^a} over a in (Z/d)^*, d = ord(chi), as a rational.
 
-    With P(y) = sum_a N_a y^(t_a), the orbit product of the B_{k+1,chi^a}
-    equals Res(Phi_d, P) / (f*D)^phi(d); the L-normalization contributes
-    (-1/(k+1))^phi(d).
+    With P(y) = sum_a N_a y^(t_a), this is Res(Phi_d, P) / (f*D)^phi(d).
     """
     d = chi.order
-    f, big_d, buckets = _value_buckets(chi, k + 1)
+    f, big_d, buckets = _value_buckets(chi, n)
     coeffs = [0] * d
     for t, s in buckets.items():
         coeffs[t] += s
     pol = Poly(coeffs)
     phi_d = cyclotomic_polynomial_any(d)
-    deg = phi_d.degree
     norm = 0 if pol.is_zero() else resultant(phi_d, pol)
-    return Fraction(-1, k + 1) ** deg * Fraction(norm, (f * big_d) ** deg)
+    return Fraction(norm, (f * big_d) ** phi_d.degree)
 
 
-def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
-    """zeta_F(-k) for the totally real abelian field F, odd k >= 1.
-
-    Artin factorization over the character group: the trivial character
-    contributes zeta(-k) = -B_{k+1}/(k+1), and each Galois orbit of
-    nontrivial characters contributes its rational norm-form product.
-    """
-    if not isinstance(k, int) or k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
-    chars = spec.characters
-    for chi in chars:
-        if not chi.is_even:
-            raise ValueError("field is not totally real (odd character present)")
-    value = Fraction(-bernoulli_number(k + 1), k + 1)
+def _galois_orbits(chars):
+    """One representative per Galois orbit {chi^a : gcd(a, ord chi) = 1} of
+    the nontrivial characters, in sort order; raises if an orbit leaves
+    `chars`."""
     seen: set[DirichletCharacter] = set()
     for chi in sorted(chars, key=lambda c: c.sort_key()):
         if chi.is_trivial() or chi in seen:
@@ -172,7 +166,35 @@ def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
             if member not in chars:
                 raise ValueError("character group is not closed under Galois action")
         seen.update(orbit)
-        value *= _orbit_l_product(chi, k)
+        yield chi
+
+
+def _orbit_valuation(chi: DirichletCharacter, n: int, p: int) -> int:
+    """v_p of the orbit product of B_{n,chi}; raises if it vanishes."""
+    value = _orbit_bernoulli_product(chi, n)
+    if value == 0:
+        raise ArithmeticError("generalized Bernoulli number vanishes")
+    return valuation(value.numerator, p) - valuation(value.denominator, p)
+
+
+def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
+    """zeta_F(-k) for the totally real abelian field F, odd k >= 1.
+
+    Artin factorization over the character group: the trivial character
+    contributes zeta(-k) = -B_{k+1}/(k+1), and each Galois orbit of
+    nontrivial characters contributes its rational orbit product of
+    L(chi^a, -k) = -B_{k+1,chi^a}/(k+1).
+    """
+    if not isinstance(k, int) or k < 1 or k % 2 == 0:
+        raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
+    chars = spec.characters
+    for chi in chars:
+        if not chi.is_even:
+            raise ValueError("field is not totally real (odd character present)")
+    value = Fraction(-bernoulli_number(k + 1), k + 1)
+    for chi in _galois_orbits(chars):
+        phi_d = cyclotomic_polynomial_any(chi.order).degree
+        value *= Fraction(-1, k + 1) ** phi_d * _orbit_bernoulli_product(chi, k + 1)
     return value
 
 
@@ -181,7 +203,10 @@ def char_bernoulli_pi_valuation(
 ) -> int:
     """v_pi(B_{k+1,chi}) at level p^N, where pi = 1 - zeta_{p^N}.
 
-    The character must have order p^b > 1; N defaults to b.
+    The character must be primitive of order p^b > 1; N defaults to b.  p is
+    totally ramified in Q(zeta_{p^N}) with residue degree 1, so v_pi at level
+    b is v_p of the norm, i.e. of the orbit product, and level N multiplies
+    it by the ramification index p^(N-b).
     """
     if not isinstance(k, int) or k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
@@ -195,20 +220,16 @@ def char_bernoulli_pi_valuation(
     n_level = b if level_n is None else level_n
     if n_level < b:
         raise ValueError("level %d is below the character level %d" % (n_level, b))
-    value = generalized_bernoulli(chi, k + 1, CyclotomicLevel(p, n_level))
-    v = pi_valuation(value)
-    if v == math.inf:
-        raise ArithmeticError("generalized Bernoulli number vanishes")
-    return v
+    _require_primitive(chi)
+    return p ** (n_level - b) * _orbit_valuation(chi, k + 1, p)
 
 
-def product_valuation(spec: FieldSpec, p: int, k: int) -> Fraction:
-    """Normalized valuation sum_{chi != chi0} v_pi(B_{k+1,chi}) / phi(p^N).
+def product_valuation(spec: FieldSpec, p: int, k: int) -> int:
+    """v_p of the product of B_{k+1,chi} over the nontrivial characters chi.
 
-    N is the exponent of the p-group of characters; each summand is computed
-    at the character's own level b and rescaled by p^(N-b), which is exactly
-    the ramification index between the two levels.  The ceiling of the result
-    is a lower bound for v_p of the integer character product.
+    Exact: each Galois orbit contributes v_p of its rational orbit product,
+    which is sum_{chi in orbit} v_pi(B_{k+1,chi}) / phi(p^N) at any common
+    level p^N.
     """
     if spec.kind not in ("max-p", "prime-cyclic"):
         raise ValueError("field spec must be a p-group subextension variant")
@@ -218,14 +239,5 @@ def product_valuation(spec: FieldSpec, p: int, k: int) -> Fraction:
         raise ValueError("need a prime p >= k+2; got p=%r, k=%r" % (p, k))
     if not spec.is_p_group(p):
         raise ValueError("character group is not a %d-group" % (p,))
-    exponent = spec.group_exponent()
-    if exponent == 1:
-        return Fraction(0)
-    n_top = valuation(exponent, p)
-    total = 0
-    for chi in spec.sorted_characters():
-        if chi.is_trivial():
-            continue
-        b = valuation(chi.order, p)
-        total += char_bernoulli_pi_valuation(chi, k) * p ** (n_top - b)
-    return Fraction(total, (p - 1) * p ** (n_top - 1))
+    orbits = _galois_orbits(spec.characters)
+    return sum(_orbit_valuation(chi, k + 1, p) for chi in orbits)

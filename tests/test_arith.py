@@ -1,7 +1,6 @@
 """Tests for the exact arithmetic substrate: factoring, polynomials, and the
 prime-power cyclotomic ring."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -12,20 +11,17 @@ from kzeta.arith import (
     CyclotomicLevel,
     CyclotomicRational,
     Poly,
-    cyclotomic_polynomial,
     cyclotomic_polynomial_any,
-    embed,
     factorization_string,
     factorize,
     galois_apply,
     is_prime,
-    norm,
-    pi_valuation,
     primes_up_to,
     rational_part,
     resultant,
     valuation,
 )
+from kzeta.arith.factor import small_primes
 
 
 def brute_is_prime(n):
@@ -63,6 +59,13 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     ps = primes_up_to(10000)
     assert ps == [n for n in range(10001) if brute_is_prime(n)]
+
+
+def test_small_primes_are_kept_for_the_process():
+    ps = small_primes()
+    assert len(ps) == 9592  # pi(10**5)
+    assert ps[:5] == [2, 3, 5, 7, 11] and ps[-1] == 99991
+    assert small_primes() is ps
 
 
 def test_factorize_known():
@@ -144,16 +147,14 @@ def test_poly_int_division_exactness():
 
 def test_cyclotomic_polynomials():
     x = Poly.x()
-    assert cyclotomic_polynomial(2, 1) == x + 1
-    assert cyclotomic_polynomial(3, 1) == Poly((1, 1, 1))
-    assert cyclotomic_polynomial(2, 2) == x**2 + 1
-    assert cyclotomic_polynomial(3, 2) == x**6 + x**3 + 1
-    assert cyclotomic_polynomial(5, 1) == Poly((1, 1, 1, 1, 1))
     assert cyclotomic_polynomial_any(1) == x - 1
     assert cyclotomic_polynomial_any(2) == x + 1
+    assert cyclotomic_polynomial_any(3) == Poly((1, 1, 1))
+    assert cyclotomic_polynomial_any(4) == x**2 + 1
+    assert cyclotomic_polynomial_any(5) == Poly((1, 1, 1, 1, 1))
     assert cyclotomic_polynomial_any(6) == Poly((1, -1, 1))
+    assert cyclotomic_polynomial_any(9) == x**6 + x**3 + 1
     assert cyclotomic_polynomial_any(12) == Poly((1, 0, -1, 0, 1))
-    assert cyclotomic_polynomial_any(9) == cyclotomic_polynomial(3, 2)
 
 
 def test_cyclotomic_product_identity():
@@ -213,7 +214,7 @@ def test_resultant_known_values():
     assert resultant(x**2 + 1, x**2 - 2) == 9
     # Res(Phi_p, x - 1) = Phi_p(1) = p for monic Phi_p
     for p in (3, 5, 7, 11):
-        assert resultant(cyclotomic_polynomial(p, 1), x - 1) == p
+        assert resultant(cyclotomic_polynomial_any(p), x - 1) == p
     # multiplicativity in the second argument
     f = x**3 + 2 * x - 1
     g = x**2 - 3
@@ -229,7 +230,6 @@ def test_level_validation():
     lv = CyclotomicLevel(3, 2)
     assert lv.modulus == 9
     assert lv.degree == 6
-    assert lv.minimal_polynomial() == cyclotomic_polynomial(3, 2)
 
 
 def test_element_reduction():
@@ -260,41 +260,21 @@ def test_ramified_prime_factorization():
         assert prod.coeffs[0] == p
 
 
-def test_norm_multiplicative():
-    rng = random.Random(5)
-    lv = CyclotomicLevel(5, 1)
-    for _ in range(20):
-        x = CyclotomicElement.make(lv, [rng.randrange(-5, 6) for _ in range(4)])
-        y = CyclotomicElement.make(lv, [rng.randrange(-5, 6) for _ in range(4)])
-        assert norm(x * y) == norm(x) * norm(y)
-    assert norm(CyclotomicElement.integer(lv, 3)) == 81
-    assert norm(CyclotomicElement.zero(lv)) == 0
-
-
 def test_galois_apply():
     lv = CyclotomicLevel(7, 1)
+    phi = cyclotomic_polynomial_any(lv.modulus)
+
+    def element_norm(x):
+        return sylvester_det(phi, Poly(x.coeffs))
+
     rng = random.Random(3)
     x = CyclotomicElement.make(lv, [rng.randrange(-4, 5) for _ in range(6)])
     y = CyclotomicElement.make(lv, [rng.randrange(-4, 5) for _ in range(6)])
     for a in (2, 3, 5):
         assert galois_apply(x * y, a) == galois_apply(x, a) * galois_apply(y, a)
-        assert norm(galois_apply(x, a)) == norm(x)
+        assert element_norm(galois_apply(x, a)) == element_norm(x)
     with pytest.raises(ValueError):
         galois_apply(x, 7)
-
-
-def test_embed_scales_norm_and_valuation():
-    lv = CyclotomicLevel(3, 1)
-    x = CyclotomicElement.make(lv, (1, 2))
-    up = embed(x, 3)
-    assert up.level == CyclotomicLevel(3, 3)
-    assert norm(up) == norm(x) ** 9
-    assert pi_valuation(embed(CyclotomicElement.make(lv, (1, -1)), 2)) == 3 * pi_valuation(
-        CyclotomicElement.make(lv, (1, -1))
-    )
-    assert embed(x, 1) == x
-    with pytest.raises(ValueError):
-        embed(up, 1)
 
 
 def test_level_mismatch_raises():
@@ -302,20 +282,6 @@ def test_level_mismatch_raises():
     b = CyclotomicElement.integer(CyclotomicLevel(5, 1), 1)
     with pytest.raises(ValueError):
         a + b
-
-
-def test_pi_valuation():
-    for p, n in ((3, 1), (5, 1), (3, 2), (7, 1)):
-        lv = CyclotomicLevel(p, n)
-        pi = CyclotomicElement.integer(lv, 1) - CyclotomicElement.zeta_power(lv, 1)
-        assert pi_valuation(pi) == 1
-        # the rational prime is totally ramified: v_pi(p) = phi(p**n)
-        assert pi_valuation(CyclotomicElement.integer(lv, p)) == lv.degree
-        assert pi_valuation(CyclotomicElement.integer(lv, 1)) == 0
-    lv = CyclotomicLevel(3, 1)
-    assert pi_valuation(CyclotomicElement.zero(lv)) == math.inf
-    assert pi_valuation(CyclotomicRational.from_rational(lv, Fraction(1, 3))) == -2
-    assert pi_valuation(CyclotomicRational.from_rational(lv, Fraction(2, 5))) == 0
 
 
 def test_cyclotomic_rational_normalization():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kzeta.arith import is_prime
 from kzeta.characters import (
     DirichletCharacter,
     FieldSpec,
@@ -261,6 +262,37 @@ def test_max_p_subextension():
     # no p-part at all collapses to the rationals
     spec = FieldSpec.max_p_subextension(11, 3)
     assert spec.degree == 1
+
+
+def _is_power_of(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(MODULI, st.sampled_from([q for q in range(3, 282) if is_prime(q)])))
+def test_field_characters_match_brute_force(m):
+    # every character mod m, kept when even and of the right order, then
+    # made primitive
+    g = unit_group(m)
+    even = [
+        chi
+        for chi in (DirichletCharacter(g, exps) for exps in _all_exponent_tuples(g))
+        if chi.evaluate(m - 1) == 0
+    ]
+
+    def primitives(keep):
+        return {chi.primitive() for chi in even if keep(chi.order)}
+
+    assert FieldSpec.real_cyclotomic(m).characters == primitives(lambda d: True)
+    for p in (3, 5, 7):
+        if m > 1:
+            spec = FieldSpec.max_p_subextension(m, p)
+            assert spec.characters == primitives(lambda d: _is_power_of(d, p))
+        if is_prime(m) and m % p == 1:
+            spec = FieldSpec.prime_cyclic_subfield(m, p)
+            assert spec.characters == primitives(lambda d: p % d == 0)
 
 
 def test_prime_cyclic_subfield():

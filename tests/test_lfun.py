@@ -9,15 +9,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzeta.arith import (
     CyclotomicElement,
     CyclotomicLevel,
     CyclotomicRational,
+    Poly,
+    cyclotomic_polynomial_any,
     galois_apply,
-    norm,
-    pi_valuation,
+    is_prime,
     rational_part,
+    resultant,
+    valuation,
 )
 from kzeta.characters import (
     DirichletCharacter,
@@ -135,9 +140,8 @@ def test_cubic_character_mod_7_tenth_bernoulli():
         CyclotomicElement.make(level, (36199840, -28945220)), 7
     )
     assert (value - expected).is_zero()
-    assert Fraction(norm(value.numerator), value.denominator**2) == Fraction(
-        456580929948400, 7
-    )
+    norm = resultant(cyclotomic_polynomial_any(3), Poly(value.numerator.coeffs))
+    assert Fraction(norm, value.denominator**2) == Fraction(456580929948400, 7)
 
 
 def test_galois_equivariance():
@@ -295,24 +299,58 @@ def test_product_valuation():
 
 
 def test_product_valuation_matches_direct_product():
-    # v_5 of the rational orbit product equals the normalized sum
-    spec = FieldSpec.prime_cyclic_subfield(11, 5)
-    prod = None
-    for chi in spec.sorted_characters():
-        if chi.is_trivial():
-            continue
-        value = generalized_bernoulli(chi, 2)
-        prod = value if prod is None else prod * value
-    rational = rational_part(prod)
-    v5 = 0
-    num, den = rational.numerator, rational.denominator
-    while num % 5 == 0:
-        num //= 5
-        v5 += 1
-    while den % 5 == 0:
-        den //= 5
-        v5 -= 1
-    assert product_valuation(spec, 5, 1) == v5
+    # v_p of the product of every nontrivial B_{k+1,chi}, multiplied out as
+    # ring elements at the top level p^N, is exactly product_valuation
+    cases = [
+        (FieldSpec.prime_cyclic_subfield(11, 5), 5, 1),
+        (FieldSpec.max_p_subextension(133, 3), 3, 1),
+        (FieldSpec.max_p_subextension(29 * 43, 7), 7, 1),
+    ]
+    for spec, p, k in cases:
+        level = CyclotomicLevel(p, valuation(spec.group_exponent(), p))
+        prod = CyclotomicRational.from_rational(level, Fraction(1))
+        for chi in spec.sorted_characters():
+            if not chi.is_trivial():
+                prod = prod * generalized_bernoulli(chi, k + 1, level)
+        rational = rational_part(prod)
+        got = product_valuation(spec, p, k)
+        assert type(got) is int
+        assert got == valuation(rational.numerator, p) - valuation(rational.denominator, p)
+
+
+def element_route_pi_valuation(chi, k, n_level):
+    """v_pi(B_{k+1,chi}) at level p^N from the ring element: v_p of its
+    absolute norm Res(Phi_{p^N}, P_N), less phi(p^N) * v_p(denominator)."""
+    p = prime_power_base(chi.order)
+    level = CyclotomicLevel(p, n_level)
+    value = generalized_bernoulli(chi, k + 1, level)
+    norm = resultant(cyclotomic_polynomial_any(level.modulus), Poly(value.numerator.coeffs))
+    return valuation(norm, p) - level.degree * valuation(value.denominator, p)
+
+
+PI_VALUATION_SPECS = [
+    FieldSpec.prime_cyclic_subfield(ell, p)
+    for p in (3, 5, 7)
+    for ell in range(p + 1, 282, p)
+    if is_prime(ell)
+] + [
+    FieldSpec.max_p_subextension(m, p)
+    for m, p in ((19, 3), (133, 3), (101, 5), (11 * 31, 5), (29, 7), (29 * 43, 7))
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pi_valuation_matches_element_norm(data):
+    spec = data.draw(st.sampled_from(PI_VALUATION_SPECS))
+    chars = [chi for chi in spec.sorted_characters() if not chi.is_trivial()]
+    chi = data.draw(st.sampled_from(chars))
+    k = data.draw(st.sampled_from([1, 3, 5]))
+    p = prime_power_base(chi.order)
+    n_level = valuation(chi.order, p) + data.draw(st.integers(0, 1))
+    assert char_bernoulli_pi_valuation(chi, k, n_level) == element_route_pi_valuation(
+        chi, k, n_level
+    )
 
 
 def test_vanishing_raises_in_valuation():
