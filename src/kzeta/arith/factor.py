@@ -3,11 +3,14 @@
 Primality is deterministic below 2**64 (fixed witness set) and strongly
 probabilistic above.  Factorization is exact: the returned multiset always
 multiplies back to the input, and every factor reported prime has passed
-the primality test.
+the primality test.  Trial division tests blocks of small primes at once by
+a gcd with their product; primes in a residue class are counted by a
+segmented sieve in memory O(sqrt(x)).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -15,8 +18,13 @@ import random
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_BOUND = 100_000
+_TRIAL_BLOCK = 64  # small primes per gcd in trial division
+_SEGMENT = 1 << 18  # numbers per segment of the counting sieve
 
+# Module globals rather than lru_cache: both tables are fixed for the process,
+# and emptying the caches of kzeta must not make the next call rebuild them.
 _small_primes: list[int] | None = None
+_trial_blocks: list[tuple[int, list[int]]] | None = None
 
 
 def small_primes() -> list[int]:
@@ -26,6 +34,17 @@ def small_primes() -> list[int]:
     if _small_primes is None:
         _small_primes = primes_up_to(_TRIAL_BOUND - 1)
     return _small_primes
+
+
+def _trial_block_table() -> list[tuple[int, list[int]]]:
+    """small_primes() in ascending blocks of _TRIAL_BLOCK, each with its
+    product; built once and kept for the life of the process."""
+    global _trial_blocks
+    if _trial_blocks is None:
+        ps = small_primes()
+        blocks = (ps[i : i + _TRIAL_BLOCK] for i in range(0, len(ps), _TRIAL_BLOCK))
+        _trial_blocks = [(math.prod(block), block) for block in blocks]
+    return _trial_blocks
 
 
 def primes_up_to(x: int) -> list[int]:
@@ -40,8 +59,36 @@ def primes_up_to(x: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(x) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(x + 1) if sieve[i]]
+            sieve[i * i :: i] = bytearray(len(range(i * i, x + 1, i)))
+    return list(itertools.compress(range(x + 1), sieve))
+
+
+def _count_primes_one_mod(x: int, moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """For each q in moduli, the number of primes ell <= x with ell = 1 (mod q).
+
+    A segmented sieve of Eratosthenes that only counts (Bays & Hudson, BIT 17
+    (1977)): the primes up to isqrt(x) are listed and counted directly, and
+    every later number lies in a bytearray segment of at most _SEGMENT entries
+    in which each of those primes crosses off its multiples.  No list of the
+    primes up to x is built, so memory stays O(sqrt(x)) as x grows.
+
+    >>> _count_primes_one_mod(100, (1, 3, 9))
+    (25, 11, 3)
+    """
+    root = math.isqrt(x)
+    base = primes_up_to(root)
+    counts = [sum(1 for ell in base if (ell - 1) % q == 0) for q in moduli]
+    for lo in range(root + 1, x + 1, _SEGMENT):
+        size = min(_SEGMENT, x + 1 - lo)  # the segment holds lo .. lo+size-1
+        seg = bytearray([1]) * size
+        for ell in base:
+            if ell * ell >= lo + size:
+                break
+            start = -lo % ell  # index of the first multiple of ell; lo > ell
+            seg[start::ell] = bytearray(len(range(start, size, ell)))
+        for i, q in enumerate(moduli):
+            counts[i] += seg[(1 - lo) % q :: q].count(1)
+    return tuple(counts)
 
 
 def _miller_rabin_witness(n: int, a: int) -> bool:
@@ -143,12 +190,17 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
         raise ValueError("factorize expects n >= 1, got %r" % (n,))
     rng = random.Random(0xD1CE if seed is None else seed)
     factors: dict[int, int] = {}
-    for p in small_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+    for product, block in _trial_block_table():
+        if block[0] * block[0] > n:
+            break  # n has no prime factor below block[0], so it is 1 or prime
+        g = math.gcd(n, product)
+        if g == 1:
+            continue
+        for p in block:
+            if g % p == 0:
+                while n % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    n //= p
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -167,7 +219,7 @@ def factorization_string(factors: list[tuple[int, int]]) -> str:
     """Render (prime, exponent) pairs in ascending order as a product.
 
     >>> factorization_string([(2, 9), (3, 2), (487, 1)])
-    '2^9\\u00b73^2\\u00b7487'
+    '2^9·3^2·487'
     >>> factorization_string([])
     '1'
 

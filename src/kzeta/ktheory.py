@@ -23,6 +23,7 @@ import math
 from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
+from .arith.factor import _count_primes_one_mod
 from .characters import FieldSpec, trivial_character
 from .lfun import zeta_value_negative
 
@@ -198,9 +199,15 @@ def lower_bound_exponent(p: int, k: int, m: int) -> int:
     _require_odd_k(k)
     if p < k + 2:
         raise ValueError("need p >= k+2; got p=%r, k=%r" % (p, k))
-    prof = s_profile(m, p)
+    return _bound_from_profile(s_profile(m, p), k)
+
+
+def _bound_from_profile(prof: SProfile, k: int) -> int:
+    """The lower_bound_exponent formula on an s-profile already taken; the
+    caller has checked p and k."""
     if prof.theta == 0:
         return 0
+    p = prof.p
     delta = _delta(p, k)
     theta = prof.theta
 
@@ -283,7 +290,7 @@ def divisibility_verdict(p: int, m: int, k: int, variant: str = "plus") -> Verdi
             continue
         slugs = ["bernoulli-product-lower-bound"]
         if k0 == k:
-            bound = max(1, lower_bound_exponent(p, k, m))
+            bound = max(1, _bound_from_profile(prof, k))
         else:
             bound = 1
             slugs += ["p-rank-periodicity", "higher-k-divisibility"]
@@ -315,19 +322,13 @@ def browkin_density(p: int, x: int) -> DensityReport:
 
     The ratio n_p2/n_p tends to 1/p; here it is returned as an exact
     rational at the cutoff x.  Requires x >= p^2 + 1 so that the mod-p^2
-    class is nonempty in principle.
+    class is nonempty in principle.  The primes are counted by a segmented
+    sieve, never listed, so memory grows as sqrt(x).
     """
     _require_odd_prime(p)
     if not isinstance(x, int) or x < p * p + 1:
         raise ValueError("x must be an integer >= p^2+1, got %r" % (x,))
-    n_p = 0
-    n_p2 = 0
-    p2 = p * p
-    for ell in primes_up_to(x):
-        if ell % p == 1:
-            n_p += 1
-            if ell % p2 == 1:
-                n_p2 += 1
+    n_p, n_p2 = _count_primes_one_mod(x, (p, p * p))
     if n_p == 0:
         raise ComputationError("no prime = 1 (mod %d) up to %d" % (p, x))
     return DensityReport(n_p, n_p2, Fraction(n_p2, n_p))

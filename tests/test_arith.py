@@ -1,10 +1,14 @@
 """Tests for the exact arithmetic substrate: factoring, polynomials, and the
 prime-power cyclotomic ring."""
 
+import bisect
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kzeta.arith import (
     CyclotomicElement,
@@ -21,7 +25,13 @@ from kzeta.arith import (
     resultant,
     valuation,
 )
-from kzeta.arith.factor import small_primes
+from kzeta.arith.factor import (
+    _SEGMENT,
+    _TRIAL_BLOCK,
+    _count_primes_one_mod,
+    _trial_block_table,
+    small_primes,
+)
 
 
 def brute_is_prime(n):
@@ -66,6 +76,105 @@ def test_small_primes_are_kept_for_the_process():
     assert len(ps) == 9592  # pi(10**5)
     assert ps[:5] == [2, 3, 5, 7, 11] and ps[-1] == 99991
     assert small_primes() is ps
+    blocks = _trial_block_table()
+    assert _trial_block_table() is blocks
+    assert [p for _, block in blocks for p in block] == ps
+    assert all(len(block) == _TRIAL_BLOCK for _, block in blocks[:-1])
+    assert all(product == math.prod(block) for product, block in blocks)
+
+
+# --- counting sieve against filtering the full sieve ---------------------------
+
+COUNT_X_MAX = 3 * _SEGMENT + 1000
+COUNT_ORACLE_PRIMES = primes_up_to(COUNT_X_MAX)
+
+
+def count_oracle(x, moduli):
+    ps = COUNT_ORACLE_PRIMES[: bisect.bisect_right(COUNT_ORACLE_PRIMES, x)]
+    return tuple(sum(1 for ell in ps if (ell - 1) % q == 0) for q in moduli)
+
+
+def full_segments(k):
+    """The x whose numbers above isqrt(x) fill exactly k segments."""
+    x = k * _SEGMENT
+    for _ in range(4):
+        x = k * _SEGMENT + math.isqrt(x)
+    assert x - math.isqrt(x) == k * _SEGMENT
+    return x
+
+
+COUNT_PRIMES = (3, 5, 7, 11, 13)
+# squares of base primes: the first ones, and those near the segment edges
+SQUARE_ROOTS = (2, 3, 5, 7, 11, 13, 509, 521, 719, 727, 883)
+SPECIAL_X = sorted(
+    {_SEGMENT + d for d in (-1, 0, 1)}
+    | {2 * _SEGMENT, full_segments(1), full_segments(1) + 1, full_segments(2)}
+    | {ell * ell + d for ell in SQUARE_ROOTS for d in (-1, 0, 1)}
+)
+
+
+def test_counting_sieve_special_points():
+    for p in COUNT_PRIMES:
+        for x in [0, 1, 2, p * p + 1] + SPECIAL_X:
+            # q = 1 counts every prime, so that a prime lost at a segment edge shows
+            moduli = (1, p, p * p)
+            assert _count_primes_one_mod(x, moduli) == count_oracle(x, moduli), (p, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(COUNT_PRIMES), st.integers(0, COUNT_X_MAX))
+def test_counting_sieve_matches_full_sieve(p, x):
+    moduli = (1, p, p * p)
+    assert _count_primes_one_mod(x, moduli) == count_oracle(x, moduli)
+
+
+# --- block trial division against plain trial division -------------------------
+
+
+def naive_factorize(n):
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return sorted(factors.items())
+
+
+def _edge_primes():
+    """The last and first primes of neighbouring blocks, and primes around the
+    trial bound."""
+    ps = small_primes()
+    ends = (b * _TRIAL_BLOCK + d for b in (1, 2, 75, len(ps) // _TRIAL_BLOCK) for d in (-1, 0))
+    return sorted({ps[i] for i in ends} | {2, 3, 5, 7, 97, 99989, 99991, 100003, 100019})
+
+
+EDGE_PRIMES = _edge_primes()
+BLOCK_FIRSTS = [block[0] for _, block in _trial_block_table()[:4]] + [
+    _trial_block_table()[-1][1][0]
+]
+
+
+@st.composite
+def trial_inputs(draw):
+    n = math.prod(draw(st.lists(st.sampled_from(EDGE_PRIMES), max_size=4)))
+    q = draw(st.sampled_from(BLOCK_FIRSTS))
+    # a cofactor at or just above the square of a block's first prime q
+    cofactor = draw(st.sampled_from([1, q * q, q * (q + 2), q * q + 2, q * q + 4]))
+    return n * cofactor
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(trial_inputs(), st.integers(1, 10**9)))
+@example(99989 * 99991)
+@example(99991 * 100003)
+@example(100003**2)
+@example(99991**2 * 2)
+def test_factorize_matches_plain_trial_division(n):
+    assert factorize(n) == naive_factorize(n)
 
 
 def test_factorize_known():
