@@ -17,6 +17,7 @@ import random
 # Deterministic Miller-Rabin witnesses for n < 2**64 (Sorenson & Webster).
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_DETERMINISTIC_BOUND = 2**64  # is_prime draws random witnesses only above this
 _TRIAL_BOUND = 100_000
 _TRIAL_BLOCK = 64  # small primes per gcd in trial division
 _SEGMENT = 1 << 18  # numbers per segment of the counting sieve
@@ -129,7 +130,7 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
     for a in _SMALL_WITNESSES:
         if _miller_rabin_witness(n, a):
             return False
-    if n < 2**64:
+    if n < _DETERMINISTIC_BOUND:
         return True
     rng = rng or random.Random(0xC0FFEE)
     for _ in range(20):
@@ -179,7 +180,8 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     """Factor n >= 1 into a sorted list of (prime, exponent) pairs.
 
     The rho stage is randomized but seeded, so output is deterministic for
-    a fixed seed (default seed is fixed too).
+    a fixed seed (default seed is fixed too).  The generator is built only
+    when rho runs or a cofactor above 2**64 is tested for primality.
 
     >>> factorize(2244096)
     [(2, 9), (3, 2), (487, 1)]
@@ -188,7 +190,14 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1, got %r" % (n,))
-    rng = random.Random(0xD1CE if seed is None else seed)
+    rng: random.Random | None = None
+
+    def seeded() -> random.Random:
+        nonlocal rng
+        if rng is None:
+            rng = random.Random(0xD1CE if seed is None else seed)
+        return rng
+
     factors: dict[int, int] = {}
     for product, block in _trial_block_table():
         if block[0] * block[0] > n:
@@ -196,20 +205,23 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
         g = math.gcd(n, product)
         if g == 1:
             continue
-        for p in block:
+        for p in block:  # g is the product of the primes of block dividing n
             if g % p == 0:
                 while n % p == 0:
                     factors[p] = factors.get(p, 0) + 1
                     n //= p
+                g //= p
+                if g == 1:
+                    break
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m, rng):
+        if is_prime(m, seeded() if m >= _DETERMINISTIC_BOUND else None):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, rng)
+        d = _pollard_rho(m, seeded())
         stack.append(d)
         stack.append(m // d)
     return sorted(factors.items())

@@ -3,11 +3,13 @@
 Coefficients are stored lowest degree first in a trimmed tuple (no trailing
 zeros, zero polynomial is the empty tuple).  Entries may be int or
 fractions.Fraction; the two mix freely.  Includes cyclotomic polynomials and
-the integer resultant, which is how `lfun` takes the norms of Galois orbits
-of generalized Bernoulli numbers.  The resultant is multi-modular (Collins):
-for monic f it first reduces g mod f over Z, then computes Res mod primes
-p < 2**61 by the Euclidean algorithm over F_p and rebuilds the exact value by
-CRT against the Hadamard bound on the Sylvester determinant.
+the integer resultant.  `lfun` takes its orbit norms as products of Galois
+conjugates and calls neither; the resultant Res(Phi_d, P) is the same norm,
+kept as API and as the oracle the tests check it against.  The resultant is
+multi-modular (Collins): for monic f it first reduces g mod f over Z, then
+computes Res mod primes p < 2**61 by the Euclidean algorithm over F_p and
+rebuilds the exact value by CRT against the Hadamard bound on the Sylvester
+determinant.
 """
 
 from __future__ import annotations

@@ -11,32 +11,33 @@ N_a = D * sum_i C(n,i) B_i f^i a^(n-i) is an integer.  generalized_bernoulli
 returns B_{n,chi} itself, in Z[zeta_{p^N}] for chi of prime-power order.
 Zeta values, pi-adic valuations and product valuations all go through one
 rational quantity instead: the product of B_{n,chi^a} over a Galois orbit of
-characters of order d, which is Res(Phi_d, P) / (f*D)^phi(d) with
-P(y) = sum_a N_a y^(t_a).  The resultant is multi-modular: P is reduced mod
-Phi_d over Z, Res is taken mod word-sized primes by the Euclidean algorithm,
-and the exact integer is rebuilt by CRT once the modulus passes twice the
-Hadamard bound.  Since p is totally ramified in Q(zeta_{p^N}), the valuation
-at pi = 1 - zeta_{p^N} of B_{n,chi}, chi of order p^b, is p^(N-b) times v_p
-of its orbit product.
+characters of order d, which is N(P(zeta_d)) / (f*D)^phi(d) with
+P(y) = sum_a N_a y^(t_a).  The norm is the product of the Galois conjugates
+sigma_a(P), a in (Z/d)^*, taken in Z[x]/(x^d - 1), where sigma_a permutes the
+coefficients; each product of two elements is one Kronecker-packed integer
+multiply, and the rational integer is read off the result by its trace.
+Since p is totally ramified in Q(zeta_{p^N}), the valuation at
+pi = 1 - zeta_{p^N} of B_{n,chi}, chi of order p^b, is p^(N-b) times v_p of
+its orbit product.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 
 from .arith import (
     CyclotomicElement,
     CyclotomicLevel,
     CyclotomicRational,
-    Poly,
-    cyclotomic_polynomial_any,
     factorize,
     is_prime,
-    resultant,
+    resultant,  # not called here; bench/spans.py traces this binding
     valuation,
 )
-from .characters import DirichletCharacter, FieldSpec
+from .characters import DirichletCharacter, FieldSpec, unit_group
 from .powersum import bernoulli_number
 
 RATIONAL_LEVEL = CyclotomicLevel(2, 1)  # Q(zeta_2) = Q; carries rational values
@@ -136,20 +137,124 @@ def l_value_negative(
     return generalized_bernoulli(chi, k + 1, level).scale_rational(Fraction(-1, k + 1))
 
 
+def _conjugate(y: list[int], a: int, d: int) -> list[int]:
+    """sigma_a(y) in Z[x]/(x^d - 1): the coefficient of x^i moves to x^(a*i mod d)."""
+    inv = pow(a, -1, d)
+    return [y[inv * j % d] for j in range(d)]
+
+
+def _cyclic_mul(x: list[int], y: list[int], d: int) -> list[int]:
+    """x*y in Z[x]/(x^d - 1), by one Kronecker-packed integer product.
+
+    Each coefficient of the product is a sum of d terms x_i*y_j, so it has
+    fewer than bits(d) + bits(max|x|) + bits(max|y|) bits; slots of
+    W >= that + 2 bits, in whole bytes, hold it with room for the half-range
+    offset 2^(W-1) that makes every slot nonnegative.  Reducing mod x^d - 1
+    is reducing the packed integer mod M = 2^(dW) - 1.
+    """
+    bits = d.bit_length() + max(map(int.bit_length, x)) + max(map(int.bit_length, y))
+    nbytes = (bits + 2 + 7) // 8
+    w = 8 * nbytes
+    half = 1 << (w - 1)
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * d, "little")
+    z = (_pack(x, half, nbytes) - offset) * (_pack(y, half, nbytes) - offset)
+    mask = (1 << (d * w)) - 1
+    s = (z & mask) + (z >> (d * w)) + offset
+    # s = sum (coefficient + half) * 2^(iW) mod M; that sum lies in [0, M)
+    while s < 0:
+        s += mask
+    while s >= mask:
+        s -= mask
+    data = s.to_bytes(d * nbytes, "little")
+    slots = (data[i : i + nbytes] for i in range(0, d * nbytes, nbytes))
+    return list(map(half.__rsub__, map(int.from_bytes, slots, repeat("little"))))
+
+
+def _pack(x: list[int], half: int, nbytes: int) -> int:
+    """sum (x_i + half) * 2^(8*nbytes*i), for |x_i| < half."""
+    slots = map(int.to_bytes, map(half.__add__, x), repeat(nbytes), repeat("little"))
+    return int.from_bytes(b"".join(slots), "little")
+
+
+def _settle(u: list[int], v: list[int] | None, d: int) -> list[int]:
+    """The product u*v, where None stands for 1."""
+    return u if v is None else _cyclic_mul(u, v, d)
+
+
+def _trace_of_product(u: list[int], v: list[int] | None, d: int) -> int:
+    """Tr_{Q(zeta_d)/Q} of (u*v)(zeta_d), for u, v in Z[x]/(x^d - 1); None is 1.
+
+    Tr(zeta_d^i) is the Ramanujan sum c_d(i) = sum_{e | gcd(i, d)} mu(d/e) e,
+    so Tr(y) = sum_{e | d} mu(d/e) e * (sum of y_i over e | i), and that sum
+    is the constant term of y mod x^e - 1.  For y = u*v it is the dot product
+    of u and v folded mod x^e - 1 with v's exponents negated, so u*v is never
+    formed.
+    """
+    squarefree = [(1, 1)]  # (q, mu(q)) for the squarefree divisors q of d
+    for p, _ in factorize(d):
+        squarefree += [(q * p, -mu) for q, mu in squarefree]
+    trace = 0
+    for q, mu in squarefree:
+        e = d // q
+        if v is None:
+            const = sum(u[::e])
+        else:
+            ue = [sum(u[r::e]) for r in range(e)] if q > 1 else u
+            ve = [sum(v[r::e]) for r in range(e)] if q > 1 else v
+            const = sum(map(operator.mul, ue, ve[:1] + ve[:0:-1]))
+        trace += mu * e * const
+    return trace
+
+
+def _orbit_norm(coeffs: list[int], d: int) -> int:
+    """N_{Q(zeta_d)/Q}(P(zeta_d)) for P(x) = sum_i coeffs[i] x^i, len(coeffs) = d.
+
+    The norm is the product of sigma_a(P) over a in (Z/d)^*, taken in
+    Z[x]/(x^d - 1); sigma_a commutes with the map to Z[zeta_d].  The unit
+    group is the direct product of the cyclic groups <g> of order k of
+    unit_group(d).generators, so the product over each of them in turn
+    replaces y by N(k) = prod_{i<k} sigma_{g^i}(y), built from
+    N(2j) = N(j) * sigma_{g^j}(N(j)) and N(j+1) = y * sigma_g(N(j)) in
+    O(log k) multiplies.  The result is the rational integer N modulo Phi_d,
+    so its trace is phi(d) * N; the last, largest multiply is left to
+    _trace_of_product, which needs only the two factors.
+
+    >>> _orbit_norm([1, -1, 0], 3)  # 1 - zeta_3
+    3
+    >>> _orbit_norm([1, -1, 0, 0, 0, 0, 0, 0], 8)  # 1 - zeta_8, two generators
+    2
+    >>> _orbit_norm([5], 1), _orbit_norm([0, 0, 0, 0], 4)
+    (5, 0)
+    """
+    if not any(coeffs):
+        return 0
+    group = unit_group(d)
+    u, v = list(coeffs), None  # the product so far is u * v
+    for g, k in group.generators:
+        base = _settle(u, v, d)
+        u, v, j = base, None, 1  # u * v = N(j)
+        for bit in bin(k)[3:]:
+            y = _settle(u, v, d)
+            u, v, j = y, _conjugate(y, pow(g, j, d), d), 2 * j
+            if bit == "1":
+                u, v, j = base, _conjugate(_settle(u, v, d), g, d), j + 1
+    norm, rem = divmod(_trace_of_product(u, v, d), group.phi)
+    if rem:
+        raise AssertionError("the trace of an orbit norm is not divisible by phi(%d)" % d)
+    return norm
+
+
 def _orbit_bernoulli_product(chi: DirichletCharacter, n: int) -> Fraction:
     """Product of B_{n,chi^a} over a in (Z/d)^*, d = ord(chi), as a rational.
 
-    With P(y) = sum_a N_a y^(t_a), this is Res(Phi_d, P) / (f*D)^phi(d).
+    With P(y) = sum_a N_a y^(t_a), this is N(P(zeta_d)) / (f*D)^phi(d).
     """
     d = chi.order
     f, big_d, buckets = _value_buckets(chi, n)
     coeffs = [0] * d
     for t, s in buckets.items():
         coeffs[t] += s
-    pol = Poly(coeffs)
-    phi_d = cyclotomic_polynomial_any(d)
-    norm = 0 if pol.is_zero() else resultant(phi_d, pol)
-    return Fraction(norm, (f * big_d) ** phi_d.degree)
+    return Fraction(_orbit_norm(coeffs, d), (f * big_d) ** unit_group(d).phi)
 
 
 def _galois_orbits(chars):
@@ -193,7 +298,7 @@ def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
             raise ValueError("field is not totally real (odd character present)")
     value = Fraction(-bernoulli_number(k + 1), k + 1)
     for chi in _galois_orbits(chars):
-        phi_d = cyclotomic_polynomial_any(chi.order).degree
+        phi_d = unit_group(chi.order).phi
         value *= Fraction(-1, k + 1) ** phi_d * _orbit_bernoulli_product(chi, k + 1)
     return value
 

@@ -25,6 +25,7 @@ from kzeta.arith import (
     resultant,
     valuation,
 )
+from kzeta.arith import factor
 from kzeta.arith.factor import (
     _SEGMENT,
     _TRIAL_BLOCK,
@@ -189,6 +190,39 @@ def test_factorize_needs_rho():
     n = 1000003 * 1000033
     assert factorize(n) == [(1000003, 1), (1000033, 1)]
     assert factorize(n, seed=12345) == [(1000003, 1), (1000033, 1)]
+
+
+def counting_random(monkeypatch):
+    """Count the random.Random objects that kzeta.arith.factor builds."""
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(factor.random, "Random", Counting)
+    return built
+
+
+def test_factorize_builds_no_generator_below_trial_square(monkeypatch):
+    # below 10**10 the cofactor left by trial division is 1 or prime
+    rng = random.Random(11)
+    samples = [1, 2, 97 * 99991, 99991**2 - 2, 9999999967, 9999999999]
+    samples += [rng.randrange(2, 10**10) for _ in range(200)]
+    built = counting_random(monkeypatch)
+    for n in samples:
+        factorize(n)
+        factorize(n, seed=5)
+    assert built == []
+
+
+def test_factorize_builds_its_generator_once(monkeypatch):
+    p, q = 1000003, 2**64 + 13
+    assert is_prime(q)
+    built = counting_random(monkeypatch)
+    assert factorize(p * 1000033 * q, seed=3) == [(p, 1), (1000033, 1), (q, 1)]
+    assert built == [(3,)]
 
 
 def test_factorize_round_trip():

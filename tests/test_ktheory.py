@@ -1,6 +1,7 @@
 """Tests for w-invariants, K-group orders, divisibility bounds and verdicts."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,16 @@ def test_k_order_prime_cyclic_conductor_100003():
     # recorded while the bucket sums still took one discrete log per residue
     report = k_order(FieldSpec.prime_cyclic_subfield(100003, 3), 1)
     assert report.order == 3310934223800
+
+
+def test_k_order_real_cyclotomic_conductor_1009():
+    # recorded while orbit norms were still Collins resultants; the orbit of
+    # order d = 504 takes its norm over four cyclic factors of (Z/504)^*
+    order = k_order(FieldSpec.real_cyclotomic(1009), 1, factor=False).order
+    assert order.bit_length() == 5375
+    assert order % 10**12 == 764153344000
+    digest = "bcbe5100fd7ec788542e4bf09daf0cb5dd9197e1ee91ff6e4582e4a82590e06e"
+    assert hashlib.sha256(b"%x" % order).hexdigest() == digest
 
 
 def test_k_order_input_validation():

@@ -2,7 +2,7 @@
 
 The heavy cross-checks here are deliberately redundant routes: a direct
 definition-unrolling oracle for B_{n,chi}, and orbit products computed as ring
-element products at one cyclotomic level versus the resultant-based rational
+element products at one cyclotomic level versus the orbit-norm rational
 recombination."""
 
 import math
@@ -222,7 +222,7 @@ def galois_orbits(chars):
 
 def test_zeta_matches_levelwise_orbit_products():
     # recombine each Galois orbit by multiplying ring elements at one
-    # cyclotomic level, then compare with the resultant-based route
+    # cyclotomic level, then compare with the orbit-norm route
     cases = [
         (FieldSpec.real_cyclotomic(7), 9),
         (FieldSpec.real_cyclotomic(11), 1),

@@ -1,5 +1,6 @@
 """Differential tests of the multi-modular resultant against the Bareiss
-fraction-free determinant of the Sylvester matrix, kept here as the oracle."""
+fraction-free determinant of the Sylvester matrix, kept here as the oracle,
+and of the orbit norms of `lfun` against both."""
 
 import itertools
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kzeta import lfun
-from kzeta.arith import Poly, is_prime, resultant
+from kzeta.arith import Poly, cyclotomic_polynomial_any, is_prime, resultant
 from kzeta.arith.poly import _crt_primes
 from kzeta.characters import FieldSpec
 
@@ -144,17 +145,54 @@ def test_crt_primes():
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_orbit_norms_match_oracle(k, monkeypatch):
-    # every (Phi_d, P) pair zeta_value_negative builds for Q(zeta_m)^+
+    # every (d, P) pair zeta_value_negative takes the norm of for Q(zeta_m)^+
     pairs = []
+    orbit_norm = lfun._orbit_norm
 
-    def recording(f, g):
-        pairs.append((f, g))
-        return resultant(f, g)
+    def recording(coeffs, d):
+        pairs.append((coeffs, d))
+        return orbit_norm(coeffs, d)
 
-    monkeypatch.setattr(lfun, "resultant", recording)
+    monkeypatch.setattr(lfun, "_orbit_norm", recording)
     for m in range(3, 101):
         if is_prime(m):
             lfun.zeta_value_negative(FieldSpec.real_cyclotomic(m), k)
     assert len(pairs) > 50
-    for f, g in pairs:
-        assert resultant(f, g) == oracle_resultant(f, g), (f, g)
+    for coeffs, d in pairs:
+        f, g = cyclotomic_polynomial_any(d), Poly(coeffs)
+        assert orbit_norm(coeffs, d) == oracle_resultant(f, g), (d, coeffs)
+
+
+def cyclic_reduce(g: Poly, d: int) -> list[int]:
+    """The coefficients of g mod x^d - 1."""
+    out = [0] * d
+    for i, c in enumerate(g.coeffs):
+        out[i % d] += c
+    return out
+
+
+ORBIT_DEGREES = [1, 2, 4, 8, 16, 9, 27, 12, 24, 60, 105, 120, 210]
+orbit_degrees = st.one_of(st.sampled_from(ORBIT_DEGREES), st.integers(1, 300))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(orbit_degrees, st.sampled_from([1, 3, 16, 64, 200]), st.data())
+def test_orbit_norm_matches_resultant(d, bits, data):
+    # Signed coefficients of up to `bits` bits.  The Collins oracle takes
+    # time ~ phi(d)**3 * bits, so large phi(d) gets narrower coefficients;
+    # every d in ORBIT_DEGREES keeps 200 bits.
+    phi = cyclotomic_polynomial_any(d).degree
+    bits = min(bits, max(1, 25 * 10**6 // phi**3))
+    coeff = st.integers(-(2**bits), 2**bits)
+    coeffs = data.draw(st.lists(coeff, min_size=d, max_size=d))
+    expected = resultant(cyclotomic_polynomial_any(d), Poly(coeffs))
+    assert lfun._orbit_norm(coeffs, d) == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(orbit_degrees, st.lists(st.integers(-(2**200), 2**200), max_size=6), st.booleans())
+def test_orbit_norm_vanishes_on_multiples_of_phi(d, q, zero):
+    # P = Phi_d * Q, reduced mod x^d - 1, vanishes at zeta_d; so does P = 0
+    g = Poly() if zero else cyclotomic_polynomial_any(d) * Poly(q)
+    assert lfun._orbit_norm(cyclic_reduce(g, d), d) == 0
+    assert resultant(cyclotomic_polynomial_any(d), g) == 0
