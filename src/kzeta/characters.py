@@ -3,16 +3,17 @@
 A character is stored as an exponent vector on a fixed, deterministic set of
 generators of (Z/mZ)^*: the smallest primitive root for each odd prime-power
 factor, the residue -1 for the factor 4, and the pair (-1, 5) for 2**e with
-e >= 3.  Values are abstract exponents: evaluate() returns t with
-chi(a) = zeta_ord**t, and consumers materialize zeta_ord**t in whatever
-cyclotomic ring they need.  This keeps characters level-free; a character of
-order p**b can later be evaluated at any level >= b.
+e >= 3.  Values are abstract exponents t with chi(a) = zeta_ord**t, which
+keeps characters level-free: consumers materialize zeta_ord**t in whatever
+cyclotomic ring they need.
 
-Sums over all units go through walk(), which enumerates (Z/mZ)^* as products
-of the generators and carries the exponent along, so it takes no discrete
-log at all.  evaluate() is kept for single values: its discrete logarithms
-run Pohlig-Hellman on the factored generator order with baby-step giant-step
-for each prime chunk; all orders in scope are small.
+The generators are CRT lifts of local generators, so the exponent vector is
+the list of local components, and moduli change (primitive(), lift_to(), and
+through them * and **) by rescaling each exponent to the target generator's
+order, with one cached level log per odd p (_level_log).  Sums over all units
+go through walk(), which enumerates (Z/mZ)^* as products of the generators
+and carries the exponent along.  No character value takes a discrete log;
+UnitGroupStructure.dlog (Pohlig-Hellman with baby-step giant-step) is API.
 """
 
 from __future__ import annotations
@@ -130,12 +131,6 @@ class UnitGroupStructure:
             return None
         return tuple(loc.dlog(a) for loc in self.locals_)
 
-    def element_from_exponents(self, exps: tuple[int, ...]) -> int:
-        out = 1
-        for (g, o), e in zip(self.generators, exps):
-            out = out * pow(g, e % o, self.modulus) % self.modulus
-        return out if self.modulus > 1 else 0
-
 
 def _crt_lift(local_res: int, q: int, m: int) -> int:
     """Residue mod m that is local_res mod q and 1 mod m/q."""
@@ -181,6 +176,14 @@ def unit_group(m: int) -> UnitGroupStructure:
     return UnitGroupStructure(m, tuple(gens), tuple(locs))
 
 
+@functools.lru_cache(maxsize=None)
+def _level_log(p: int) -> int:
+    """L with g_2 = g_1**L (mod p), g_e the smallest primitive root mod p**e;
+    the two differ at p = 40487 (5 and 10)."""
+    g1, g2 = (unit_group(q).locals_[0].residue for q in (p, p * p))
+    return 1 if g1 == g2 else unit_group(p).dlog(g2)[0]
+
+
 @dataclasses.dataclass(frozen=True)
 class DirichletCharacter:
     """Character of (Z/mZ)^* given by exponents on the canonical generators:
@@ -210,24 +213,6 @@ class DirichletCharacter:
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def evaluate(self, a: int) -> int | None:
-        """Exponent t with chi(a) = zeta_{order}**t, or None when gcd(a,m) > 1.
-
-        Completely multiplicative on coprime residues: exponents add mod order.
-        """
-        ks = self.group.dlog(a)
-        if ks is None:
-            return None
-        ex = self.group.exponent
-        s = 0
-        for e, k, (_, o) in zip(self.exponents, ks, self.group.generators):
-            s += e * k * (ex // o)
-        s %= ex
-        step = ex // self.order
-        if s % step != 0:
-            raise AssertionError("character value is not an order-th root of unity")
-        return (s // step) % self.order
 
     def walk(self):
         """Yield (a mod m, t) with chi(a) = zeta_{order}**t, once for every unit a.
@@ -311,37 +296,50 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
-    def primitive(self) -> "DirichletCharacter":
-        """The primitive character mod conductor inducing chi."""
-        f = self.conductor
-        if f == self.modulus:
-            return self
-        target = unit_group(f)
+    def _transfer(self, target: UnitGroupStructure) -> "DirichletCharacter":
+        """chi on the generators of target; chi must factor through its modulus.
+
+        Each local exponent x becomes x*o_t/o_s on the target generator of the
+        same prime and kind (0 where chi has none), times L**(+-1) between
+        levels p and p**e, e >= 2, where g_2 = g_1**L (mod p).
+        """
+        source = {
+            (loc.prime, loc.kind): (x, loc.prime_power, loc.order)
+            for x, loc in zip(self.exponents, self.group.locals_)
+        }
         exps = []
-        for g, o in target.generators:
-            b = g
-            while math.gcd(b, self.modulus) != 1:
-                b += f
-            t = self.evaluate(b)
-            if t is None or (t * o) % self.order != 0:
-                raise AssertionError("primitivization failed; conductor is wrong")
-            exps.append(t * o // self.order)
+        for loc in target.locals_:
+            x, q, o = source.get((loc.prime, loc.kind), (0, 1, 1))
+            if x * loc.order % o != 0:
+                raise AssertionError("character does not factor through the target")
+            y = x * loc.order // o
+            if y and (q == loc.prime) != (loc.prime_power == loc.prime):
+                log = _level_log(loc.prime)
+                y *= log if q == loc.prime else pow(log, -1, loc.order)
+            exps.append(y)
         return DirichletCharacter(target, tuple(exps))
 
+    def primitive(self) -> "DirichletCharacter":
+        """The primitive character mod conductor inducing chi.
+
+        >>> DirichletCharacter(unit_group(21), (0, 2)).primitive()
+        DirichletCharacter(mod 7, exponents [2])
+        """
+        if self.conductor == self.modulus:
+            return self
+        return self._transfer(unit_group(self.conductor))
+
     def lift_to(self, m: int) -> "DirichletCharacter":
-        """The character mod m (a multiple of the modulus) inducing chi."""
+        """The character mod m (a multiple of the modulus) inducing chi.
+
+        >>> DirichletCharacter(unit_group(7), (2,)).lift_to(21)
+        DirichletCharacter(mod 21, exponents [0, 2])
+        """
         if m % self.modulus != 0:
             raise ValueError("can only lift to a multiple of the modulus")
         if m == self.modulus:
             return self
-        target = unit_group(m)
-        exps = []
-        for g, o in target.generators:
-            t = self.evaluate(g)
-            if t is None or (t * o) % self.order != 0:
-                raise AssertionError("lift failed; generator not coprime?")
-            exps.append(t * o // self.order)
-        return DirichletCharacter(target, tuple(exps))
+        return self._transfer(unit_group(m))
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         m = math.lcm(self.modulus, other.modulus)
@@ -423,7 +421,7 @@ class FieldSpec:
             if not chi.is_even:
                 raise ValueError("field spec characters must be even")
         for chi in chars:
-            if chi.inverse().primitive() not in chars:
+            if chi.inverse() not in chars:
                 raise ValueError("character set not closed under inversion")
             for psi in chars:
                 if (chi * psi) not in chars:

@@ -2,6 +2,7 @@
 descriptions."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,10 @@ from kzeta.characters import (
     trivial_character,
     unit_group,
 )
+
+from oracles import element_from_exponents, evaluate
+from oracles import lift_to as oracle_lift_to
+from oracles import primitive as oracle_primitive
 
 
 def euler_phi(m):
@@ -47,7 +52,7 @@ def test_unit_group_structure():
         for a in units(m):
             exps = g.dlog(a)
             assert exps is not None
-            assert g.element_from_exponents(exps) == a % m
+            assert element_from_exponents(g, exps) == a % m
         if m > 2:
             assert g.dlog(0) is None
         # the generators really generate: distinct exponent tuples hit
@@ -74,11 +79,11 @@ def test_character_evaluate_example():
     g = unit_group(7)
     chi = DirichletCharacter(g, (2,))
     assert chi.order == 3
-    assert chi.evaluate(3) == 1
-    assert chi.evaluate(2) == 2
-    assert chi.evaluate(1) == 0
-    assert chi.evaluate(7) is None
-    assert chi.evaluate(6) == 0  # chi(-1) = 1, even
+    assert evaluate(chi, 3) == 1
+    assert evaluate(chi, 2) == 2
+    assert evaluate(chi, 1) == 0
+    assert evaluate(chi, 7) is None
+    assert evaluate(chi, 6) == 0  # chi(-1) = 1, even
     assert chi.is_even
 
 
@@ -94,8 +99,8 @@ def test_character_multiplicativity():
             d = chi.order
             for a in units(m):
                 for b in units(m):
-                    ta, tb = chi.evaluate(a), chi.evaluate(b)
-                    tab = chi.evaluate(a * b % m)
+                    ta, tb = evaluate(chi, a), evaluate(chi, b)
+                    tab = evaluate(chi, a * b % m)
                     assert tab == (ta + tb) % d
 
 
@@ -113,7 +118,7 @@ def brute_conductor(chi):
         ok = True
         for a in units(m):
             for b in units(m):
-                if (a - b) % f == 0 and chi.evaluate(a) != chi.evaluate(b):
+                if (a - b) % f == 0 and evaluate(chi, a) != evaluate(chi, b):
                     ok = False
                     break
             if not ok:
@@ -141,7 +146,7 @@ def test_character_order_and_parity():
             assert (chi**d).is_trivial()
             for q in {p for p in range(2, d) if d % p == 0 and all(p % r for r in range(2, p))}:
                 assert not (chi ** (d // q)).is_trivial()
-            t = chi.evaluate(m - 1) if m > 2 else 0
+            t = evaluate(chi, m - 1) if m > 2 else 0
             assert chi.is_even == (t == 0)
             assert t in (0, d // 2 if d % 2 == 0 else 0)
 
@@ -162,8 +167,8 @@ def test_walk_matches_dlog_evaluation(m):
         chi = DirichletCharacter(g, exps)
         walked = list(chi.walk())
         assert len(walked) == g.phi
-        assert dict(walked) == {a % m: chi.evaluate(a) for a in units(m)}
-        assert chi.is_even == (chi.evaluate(m - 1) == 0)
+        assert dict(walked) == {a % m: evaluate(chi, a) for a in units(m)}
+        assert chi.is_even == (evaluate(chi, m - 1) == 0)
 
 
 def test_primitive_round_trip():
@@ -178,7 +183,7 @@ def test_primitive_round_trip():
             assert prim.lift_to(m) == chi
             # values agree on shared units
             for a in units(m):
-                assert prim.evaluate(a) == chi.evaluate(a)
+                assert evaluate(prim, a) == evaluate(chi, a)
 
 
 def test_character_product_and_inverse():
@@ -188,14 +193,82 @@ def test_character_product_and_inverse():
     prod = chi * psi
     for a in units(13):
         d = prod.order
-        lhs = prod.evaluate(a)
+        lhs = evaluate(prod, a)
         expected = (
-            chi.evaluate(a) * (chi.order and 12 // chi.order)
-            + psi.evaluate(a) * (12 // psi.order)
+            evaluate(chi, a) * (chi.order and 12 // chi.order)
+            + evaluate(psi, a) * (12 // psi.order)
         ) % 12
         assert lhs * (12 // d) % 12 == expected
     assert (chi * chi.inverse()).is_trivial()
     assert chi.inverse() == chi ** (chi.order - 1)
+
+
+def _character(g, seed):
+    """The character on g whose exponents are the mixed-radix digits of seed."""
+    exps = []
+    for _, o in g.generators:
+        seed, e = divmod(seed, o)
+        exps.append(e)
+    return DirichletCharacter(g, tuple(exps))
+
+
+def _value(chi, a):
+    """chi(a) as the fraction t/order of a full turn, from the oracle."""
+    return Fraction(evaluate(chi, a), chi.order)
+
+
+TRANSFER_MODULI = st.one_of(
+    MODULI,
+    st.integers(1, 300),
+    st.builds(
+        lambda k, odd: 2**k * odd,
+        st.integers(1, 6),
+        st.sampled_from([1, 3, 5, 7, 9, 15, 21, 45]),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(TRANSFER_MODULI, st.integers(0, 2**128))
+def test_transfers_match_value_oracle(m, seed):
+    # primitive, lift_to, *, ** and inverse move exponents between moduli;
+    # the oracle takes one discrete log per value.  One seed picks the two
+    # characters, the lift and the power.
+    k = (1, 2, 3, 4, 5, 9)[seed % 6]
+    n = seed % 61 - 30
+    chi = _character(unit_group(m), seed >> 8)
+    prim = chi.primitive()
+    assert prim == oracle_primitive(chi)
+    assert prim.lift_to(m) == chi
+    lifted = chi.lift_to(m * k)
+    assert lifted == oracle_lift_to(chi, m * k)
+    divisors = [d for d in range(1, m * k + 1) if m * k % d == 0]
+    psi = _character(unit_group(divisors[seed % len(divisors)]), seed >> 64)
+    prod, power, inv = chi * psi, chi**n, chi.inverse()
+    for a in units(m * k):
+        x = _value(chi, a)
+        assert _value(prim, a) == x
+        assert _value(lifted, a) == x
+        assert _value(prod, a) == (x + _value(psi, a)) % 1
+        assert _value(power, a) == n * x % 1
+        assert _value(inv, a) == -x % 1
+
+
+def test_transfer_where_the_smallest_roots_differ():
+    # 5 is the smallest primitive root mod 40487 but not mod 40487**2, where
+    # it is 10, so moving between the two levels rescales by the log of 10
+    p = 40487
+    assert unit_group(p).generators == ((5, p - 1),)
+    assert unit_group(p * p).generators == ((10, p * (p - 1)),)
+    spec = FieldSpec.max_p_subextension(p * p, 31)
+    assert spec.degree == 31
+    samples = [a for a in range(2, p * p, p * p // 40) if a % p != 0]
+    for chi in spec.sorted_characters():
+        lifted = chi.lift_to(p * p)
+        assert lifted == oracle_lift_to(chi, p * p)
+        assert lifted.primitive() == chi
+        for a in samples:
+            assert _value(lifted, a) == _value(chi, a)
 
 
 def test_trivial_character():
@@ -279,11 +352,11 @@ def test_field_characters_match_brute_force(m):
     even = [
         chi
         for chi in (DirichletCharacter(g, exps) for exps in _all_exponent_tuples(g))
-        if chi.evaluate(m - 1) == 0
+        if evaluate(chi, m - 1) == 0
     ]
 
     def primitives(keep):
-        return {chi.primitive() for chi in even if keep(chi.order)}
+        return {oracle_primitive(chi) for chi in even if keep(chi.order)}
 
     assert FieldSpec.real_cyclotomic(m).characters == primitives(lambda d: True)
     for p in (3, 5, 7):

@@ -23,6 +23,8 @@ from kzeta.ktheory import (
 )
 from kzeta.lfun import zeta_value_negative
 
+from oracles import evaluate
+
 
 def test_w_invariant_rationals():
     # classical values w_2, w_4, ..., w_12 over Q
@@ -59,7 +61,7 @@ def brute_w_condition(chars, q, nu, j):
     for a in range(1, mod):
         if a % q == 0:
             continue
-        if any(chi.evaluate(a) != 0 for chi in rel):
+        if any(evaluate(chi, a) != 0 for chi in rel):
             continue
         if pow(a, j, mod) != 1:
             return False
@@ -92,6 +94,22 @@ W_SPECS = st.one_of(
 @given(W_SPECS, st.integers(1, 12))
 def test_w_invariant_matches_brute_force(spec, j):
     assert w_invariant(spec, j) == brute_w_invariant(spec, j)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec.real_cyclotomic(m) for m in (15, 20, 21, 24, 35, 39, 60)]
+    + [FieldSpec.max_p_subextension(133, 3), FieldSpec.max_p_subextension(1247, 7)],
+    ids=lambda spec: spec.describe(),
+)
+def test_explicit_spec_matches_its_source(spec):
+    # FieldSpec.explicit checks closure under inverses and all n**2 products
+    explicit = FieldSpec.explicit(spec.characters)
+    assert explicit.degree == spec.degree
+    assert explicit.conductor == spec.conductor
+    order = k_order(spec, 1, factor=False).order
+    assert k_order(explicit, 1, factor=False).order == order
+    assert w_invariant(explicit, 2) == w_invariant(spec, 2)
 
 
 def test_k_orders_of_the_integers():

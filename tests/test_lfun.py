@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kzeta import lfun
 from kzeta.arith import (
     CyclotomicElement,
     CyclotomicLevel,
@@ -31,6 +32,7 @@ from kzeta.characters import (
     trivial_character,
     unit_group,
 )
+from kzeta.ktheory import w_invariant
 from kzeta.lfun import (
     char_bernoulli_pi_valuation,
     generalized_bernoulli,
@@ -39,6 +41,8 @@ from kzeta.lfun import (
     zeta_value_negative,
 )
 from kzeta.powersum import bernoulli_number, bernoulli_polynomial
+
+from oracles import evaluate
 
 
 def prime_power_base(d):
@@ -64,7 +68,7 @@ def expansion_oracle(chi, n):
     poly = bernoulli_polynomial(n)
     total = CyclotomicRational.from_rational(level, Fraction(0))
     for a in range(1, f + 1):
-        t = chi.evaluate(a)
+        t = evaluate(chi, a)
         if t is None:
             continue
         value = poly.evaluate(Fraction(a, f)) * Fraction(f) ** (n - 1)
@@ -257,6 +261,24 @@ def test_zeta_takes_no_dlog_per_residue(monkeypatch, ell, p):
     spec = FieldSpec.prime_cyclic_subfield(ell, p)
     zeta_value_negative(spec, p - 2)
     assert len(calls) <= 4 * spec.degree
+
+
+@pytest.mark.parametrize("m", [4620, 15015])
+def test_character_arithmetic_takes_no_dlog(monkeypatch, m):
+    # enumeration, primitive(), lift_to() and chi**a rescale exponents
+    calls = []
+    dlog = UnitGroupStructure.dlog
+
+    def counting_dlog(self, a):
+        calls.append(a)
+        return dlog(self, a)
+
+    monkeypatch.setattr(UnitGroupStructure, "dlog", counting_dlog)
+    spec = FieldSpec.real_cyclotomic(m)
+    assert spec.degree == unit_group(m).phi // 2
+    list(lfun._galois_orbits(spec.characters))
+    w_invariant(spec, 2)
+    assert calls == []
 
 
 def test_congruence_valuations():
