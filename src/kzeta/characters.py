@@ -12,8 +12,9 @@ the list of local components, and moduli change (primitive(), lift_to(), and
 through them * and **) by rescaling each exponent to the target generator's
 order, with one cached level log per odd p (_level_log).  Sums over all units
 go through walk(), which enumerates (Z/mZ)^* as products of the generators
-and carries the exponent along.  No character value takes a discrete log;
-UnitGroupStructure.dlog (Pohlig-Hellman with baby-step giant-step) is API.
+and carries the exponent along; only the Bernoulli sums of lfun walk units.
+No character value takes a discrete log; UnitGroupStructure.dlog
+(Pohlig-Hellman with baby-step giant-step) is API.
 """
 
 from __future__ import annotations
@@ -250,14 +251,10 @@ class DirichletCharacter:
     @functools.cached_property
     def is_even(self) -> bool:
         """chi(-1) = 1, read off the exponents: -1 is g**(o/2) on every 'odd'
-        and 'minus' component and 1 on the 'five' component."""
-        d = self.order
-        t = sum(
-            e * d // loc.order * (loc.order // 2)
-            for e, loc in zip(self.exponents, self.group.locals_)
-            if loc.kind != "five"
-        )
-        return t % d == 0
+        and 'minus' component, where chi takes the value (-1)**e, and 1 on the
+        'five' component."""
+        locs = self.group.locals_
+        return sum(e for e, loc in zip(self.exponents, locs) if loc.kind != "five") % 2 == 0
 
     @functools.cached_property
     def conductor(self) -> int:
@@ -327,7 +324,9 @@ class DirichletCharacter:
         """
         if self.conductor == self.modulus:
             return self
-        return self._transfer(unit_group(self.conductor))
+        prim = self._transfer(unit_group(self.conductor))
+        prim.__dict__["conductor"] = self.conductor  # same character, cached
+        return prim
 
     def lift_to(self, m: int) -> "DirichletCharacter":
         """The character mod m (a multiple of the modulus) inducing chi.

@@ -2,10 +2,12 @@
 codes."""
 
 import json
+import time
 
 import pytest
 
 import kzeta.cli as cli
+import kzeta.ktheory as ktheory
 from kzeta.ktheory import ComputationError
 
 
@@ -197,6 +199,19 @@ def test_usage_errors_exit_2(capsys):
     for argv in cases:
         code, _, _ = run(capsys, *argv)
         assert code == 2, argv
+
+
+def test_density_refuses_huge_x_at_once(capsys, monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("the sieve was started")
+
+    monkeypatch.setattr(ktheory, "_count_primes_one_mod", no_sieve)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "density", "--p", "3", "--x", "1000000000000")
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert err.startswith("error: x must be at most")
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

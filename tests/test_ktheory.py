@@ -5,11 +5,12 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kzeta import characters
 from kzeta.arith import primes_up_to, valuation
-from kzeta.characters import FieldSpec
+from kzeta.characters import DirichletCharacter, FieldSpec, unit_group
 from kzeta.ktheory import (
     ComputationError,
     browkin_density,
@@ -41,6 +42,8 @@ def test_w_invariant_real_cyclotomic():
     assert w_invariant(rc7, 10) == 1848  # 8 * 3 * 7 * 11
     assert w_invariant(FieldSpec.real_cyclotomic(5), 2) == 120
     assert w_invariant(FieldSpec.real_cyclotomic(11), 2) == 264
+    # recorded from the walk over (Z/q^nu)^* that the closed form replaced
+    assert w_invariant(FieldSpec.real_cyclotomic(85085), 2) == 2042040
 
 
 def test_w_invariant_p_part():
@@ -87,13 +90,39 @@ W_SPECS = st.one_of(
     st.sampled_from([(7, 3), (13, 3), (31, 3), (11, 5), (31, 5), (29, 7), (23, 11)]).map(
         lambda args: FieldSpec.prime_cyclic_subfield(*args)
     ),
+    # 8 | m reaches the q = 2, nu >= 3 branch; m = 401 has degree 200
+    st.builds(FieldSpec.real_cyclotomic, st.sampled_from([40, 48, 80, 120, 401])),
 )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(W_SPECS, st.integers(1, 12))
+@example(FieldSpec.real_cyclotomic(401), 2)  # q = 401 = j*r + 1 contributes
+@example(FieldSpec.real_cyclotomic(80), 8)  # 2^7 || w_8
 def test_w_invariant_matches_brute_force(spec, j):
     assert w_invariant(spec, j) == brute_w_invariant(spec, j)
+
+
+@pytest.mark.parametrize("m", [4620, 15015])
+def test_w_invariant_walks_no_units(monkeypatch, m):
+    # the Galois image is read off conductor counts, not off its elements
+    spec = FieldSpec.real_cyclotomic(m)
+    spec.characters
+    calls = []
+    walk = DirichletCharacter.walk
+
+    def counting_walk(self):
+        calls.append("walk")
+        return walk(self)
+
+    def counting_unit_group(n):
+        calls.append("unit_group")
+        return unit_group(n)
+
+    monkeypatch.setattr(DirichletCharacter, "walk", counting_walk)
+    monkeypatch.setattr(characters, "unit_group", counting_unit_group)
+    w_invariant(spec, 2)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -165,6 +194,11 @@ def test_k_order_input_validation():
         k_order(q, -1)
     with pytest.raises(ValueError):
         k_order(q, 0)
+    # hand-built: FieldSpec.explicit would refuse the odd character mod 3
+    odd_chi = DirichletCharacter(unit_group(3), (1,))
+    odd = FieldSpec("explicit", explicit_chars=frozenset({odd_chi}))
+    with pytest.raises(ValueError, match="field is not totally real"):
+        k_order(odd, 1)
 
 
 def test_k_order_integrality_sweep():
@@ -362,6 +396,8 @@ def test_browkin_density():
         browkin_density(3, 9)
     with pytest.raises(ValueError):
         browkin_density(4, 100)
+    with pytest.raises(ValueError, match="at most"):
+        browkin_density(3, 10**9 + 1)
 
 
 def test_computation_error_is_runtime_error():
