@@ -10,11 +10,12 @@ cyclotomic ring they need.
 The generators are CRT lifts of local generators, so the exponent vector is
 the list of local components, and moduli change (primitive(), lift_to(), and
 through them * and **) by rescaling each exponent to the target generator's
-order, with one cached level log per odd p (_level_log).  Sums over all units
-go through walk(), which enumerates (Z/mZ)^* as products of the generators
-and carries the exponent along; only the Bernoulli sums of lfun walk units.
-No character value takes a discrete log; UnitGroupStructure.dlog
-(Pohlig-Hellman with baby-step giant-step) is API.
+order, with one cached level log per odd p (_level_log).  A character's value
+on the unit prod g_i**k_i is zeta_ord**(sum_i k_i*e_i*ord/o_i), so sums over
+units need no unit-by-unit walk: lfun lists the units of each conductor once,
+in mixed-radix order on the generators, and sums by exponent pattern.  No
+character value takes a discrete log; UnitGroupStructure.dlog (Pohlig-Hellman
+with baby-step giant-step) is API.
 """
 
 from __future__ import annotations
@@ -214,39 +215,6 @@ class DirichletCharacter:
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
-
-    def walk(self):
-        """Yield (a mod m, t) with chi(a) = zeta_{order}**t, once for every unit a.
-
-        A mixed-radix odometer over the generators: stepping g_i multiplies a
-        by g_i and adds e_i*order/o_i to t.  After o_i steps both are back
-        where they started, so a digit that rolls over needs no correction
-        of a or t.
-        """
-        m, d = self.modulus, self.order
-        gens = [
-            (g, o, e * d // o) for e, (g, o) in zip(self.exponents, self.group.generators)
-        ]
-        if not gens:
-            yield 1 % m, 0
-            return
-        (g0, o0, s0), rest = gens[0], gens[1:]
-        digits = [0] * len(rest)
-        a, t = 1, 0
-        while True:
-            for _ in range(o0):
-                yield a, t
-                a = a * g0 % m
-                t = (t + s0) % d
-            for i, (g, o, s) in enumerate(rest):
-                a = a * g % m
-                t = (t + s) % d
-                digits[i] += 1
-                if digits[i] < o:
-                    break
-                digits[i] = 0
-            else:
-                return
 
     @functools.cached_property
     def is_even(self) -> bool:
@@ -489,12 +457,26 @@ def _even_characters_of_exponent(m: int, exponent: int) -> frozenset:
     chi**exponent = 1.
 
     chi**exponent = 1 exactly when each generator exponent e_i is a multiple
-    of o_i / gcd(o_i, exponent), o_i the generator's order.
+    of o_i / gcd(o_i, exponent), o_i the generator's order.  chi is even when
+    its exponents on the 'odd' and 'minus' generators have an even sum
+    (is_even), and only those whose step is odd can make it odd; the first of
+    them takes only the multiples of its step whose parity evens out the rest.
     """
     g = unit_group(m)
     ranges = [range(0, o, o // math.gcd(o, exponent)) for _, o in g.generators]
-    chars = (DirichletCharacter(g, exps) for exps in itertools.product(*ranges))
-    return frozenset(chi.primitive() for chi in chars if chi.is_even)
+    odd = [i for i, loc in enumerate(g.locals_) if loc.kind != "five" and ranges[i].step % 2]
+    if odd:
+        j, others = odd[0], odd[1:]
+        halves = (ranges[j][::2], ranges[j][1::2])  # even and odd exponents
+        ranges[j] = range(1)
+        exps = (
+            x[:j] + (e,) + x[j + 1 :]
+            for x in itertools.product(*ranges)
+            for e in halves[sum(x[i] for i in others) % 2]
+        )
+    else:
+        exps = itertools.product(*ranges)
+    return frozenset(DirichletCharacter(g, x).primitive() for x in exps)
 
 
 def ghat_stratum(spec: FieldSpec, p: int, j: int) -> frozenset:

@@ -7,7 +7,13 @@ Everything is exact.  For a primitive character chi of conductor f and n >= 2,
               = (1 / (f*D)) * sum_a chi(a) * N_a
 
 where D = lcm(denominator(B_0), ..., denominator(B_n)) and
-N_a = D * sum_i C(n,i) B_i f^i a^(n-i) is an integer.  generalized_bernoulli
+N_a = D * sum_i C(n,i) B_i f^i a^(n-i) = D f^n B_n(a/f) is an integer.  The
+weights N_a depend on (f, n) only, so they are computed once per conductor,
+by Horner steps over whole lists, for the units of a transversal of
+(Z/f)^* modulo {1, -1}: the other half follows from N_{f-a} = (-1)^n N_a,
+as B_n(1-x) = (-1)^n B_n(x), and chi(f-a) = chi(-1) chi(a).  Each character
+then sums the shared weights by slices of its exponent pattern on the
+generators; no unit is visited one at a time.  generalized_bernoulli
 returns B_{n,chi} itself, in Z[zeta_{p^N}] for chi of prime-power order.
 Zeta values, pi-adic valuations and product valuations all go through one
 rational quantity instead: the product of B_{n,chi^a} over a Galois orbit of
@@ -23,6 +29,7 @@ its orbit product.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -73,24 +80,97 @@ def _numerator_coefficients(n: int, f: int, big_d: int) -> list[int]:
     return out
 
 
+def _transversal(f: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """The units of a transversal of (Z/f)^* modulo {1, -1}, in mixed-radix
+    order, with its digits (generator index, radix), fastest first.
+
+    Each generator g_i runs over its full order o_i, except the first 'odd'
+    or 'minus' one, whose range is cut to [0, o_i/2).  -1 is g_i**(o_i/2) on
+    every 'odd' and 'minus' component and 1 on the 'five' one, so multiplying
+    by -1 moves that digit by o_i/2, and exactly one of a and -a is listed.
+    Digits of radix 1 are dropped; the largest radix runs fastest.  Each
+    digit doubles the list by one whole-list map until it has run its
+    range.  f = 1 gives the one unit 1.
+
+    >>> _transversal(7)  # 3 generates (Z/7)^*; -1 = 3**3
+    (((0, 3),), [1, 3, 2])
+    >>> _transversal(8)  # 7 = -1 is cut to radix 1; 5 keeps its order 2
+    (((1, 2),), [1, 5])
+    """
+    group = unit_group(f)
+    radices = [o for _, o in group.generators]
+    signed = [i for i, loc in enumerate(group.locals_) if loc.kind != "five"]
+    if signed:
+        radices[signed[0]] //= 2
+    digits = sorted(((i, r) for i, r in enumerate(radices) if r > 1), key=lambda x: -x[1])
+    units = [1]
+    for i, r in digits:
+        g, size = group.generators[i][0], len(units)
+        while len(units) < r * size:  # units[k*size + x] = units[x] * g**k
+            step = pow(g, len(units) // size, f)
+            units += [*map(f.__rmod__, map(step.__mul__, units))]
+        del units[r * size :]
+    return tuple(digits), units
+
+
+@functools.lru_cache(maxsize=16)
+def _half_weights(f: int, n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The digits of _transversal(f) and N_a for each of its units a, by
+    Horner steps over the whole list.  Orbits come grouped by conductor
+    (_galois_orbits sorts them), so a few entries serve every orbit."""
+    digits, units = _transversal(f)
+    coeffs = _numerator_coefficients(n, f, _bernoulli_denominator_lcm(n))
+    weights = repeat(coeffs[0], len(units))
+    for c in coeffs[1:]:
+        weights = map(operator.add, map(operator.mul, weights, units), repeat(c))
+    return digits, tuple(weights)
+
+
 def _value_buckets(chi: DirichletCharacter, n: int) -> tuple[int, int, dict[int, int]]:
     """Sum the integer weights N_a by the character exponent t of a, where
-    chi(a) = zeta_ord^t.  The units a in [1, f] come from chi.walk(), so no
-    discrete log is taken.
+    chi(a) = zeta_ord^t; chi must be primitive.
+
+    The weights come from _half_weights, shared by every character of
+    conductor f, over a transversal of (Z/f)^* modulo {1, -1}.  t of a
+    position is sum_i k_i * s_i mod ord, with digit k_i and s_i = e_i*ord/o_i,
+    so the sums need only slices: the slower digits fold into blocks, one per
+    partial t, and the fastest digit, whose t repeats with period
+    ord/gcd(ord, s_0), is summed by strided slices.  For prime f, the whole
+    sum is sum(weights[r::ord]) per class r.  The other half follows from
+    N_{f-a} = (-1)^n N_a, as B_n(1-x) = (-1)^n B_n(x), and
+    chi(-a) = zeta_ord^shift chi(a), with shift = 0 for even chi and ord/2
+    for odd chi: full[t] = half[t] + (-1)^n half[t - shift].
 
     Returns (f, D, {t: sum of N_a over a with chi(a) = zeta_ord^t}).
     """
-    f = chi.conductor
+    _require_primitive(chi)
+    f, d = chi.conductor, chi.order
     big_d = _bernoulli_denominator_lcm(n)
-    coeffs = _numerator_coefficients(n, f, big_d)
-    buckets: dict[int, int] = {}
-    for a, t in chi.walk():
-        a = a or f  # the walk mod 1 yields the residue 0
-        v = 0
-        for c in coeffs:
-            v = v * a + c
-        buckets[t] = buckets.get(t, 0) + v
-    return f, big_d, buckets
+    digits, weights = _half_weights(f, n)
+    orders = chi.group.generators
+    steps = [chi.exponents[i] * d // orders[i][1] % d for i, _ in digits]
+    blocks = {0: weights}  # partial t of the slower digits -> faster digits
+    size = len(weights)
+    for (_, r), s in zip(digits[:0:-1], steps[:0:-1]):
+        size //= r
+        folded = {}
+        for c, block in blocks.items():
+            for k in range(r):
+                t = (c + k * s) % d
+                chunk = block[k * size : (k + 1) * size]
+                folded[t] = list(map(operator.add, folded[t], chunk)) if t in folded else chunk
+        blocks = folded
+    s0 = steps[0] if steps else 0
+    period = d // math.gcd(d, s0)
+    half = [0] * d
+    for c, block in blocks.items():
+        for j in range(min(period, size)):
+            half[(c + j * s0) % d] += sum(block[j::period])
+    if f == 1:  # one unit, nothing to pair it with
+        return f, big_d, {0: half[0]}
+    shift = 0 if chi.is_even else d // 2
+    sign = -1 if n % 2 else 1
+    return f, big_d, {t: half[t] + sign * half[(t - shift) % d] for t in range(d)}
 
 
 def generalized_bernoulli(

@@ -1,14 +1,18 @@
-"""Slow, independent routes to character values, for the tests.
+"""Slow, independent routes to character values and Bernoulli sums, for the
+tests.
 
 The library moves characters between moduli by exponent arithmetic and sums
-over units with DirichletCharacter.walk(); neither takes a discrete log.
-These oracles take one (UnitGroupStructure.dlog, Pohlig-Hellman with
-baby-step giant-step) per value instead, and build primitive() and lift_to()
-from single values, as the library did before.
+the Bernoulli weights of a conductor by slices over half its units; neither
+takes a discrete log.  These oracles take one (UnitGroupStructure.dlog,
+Pohlig-Hellman with baby-step giant-step) per value instead, build
+primitive() and lift_to() from single values, and walk every unit with its
+character exponent, one Horner evaluation per unit, as the library did
+before.
 """
 
 import math
 
+from kzeta import lfun
 from kzeta.characters import DirichletCharacter, unit_group
 
 
@@ -69,3 +73,52 @@ def lift_to(chi, m):
         return chi
     target = unit_group(m)
     return _from_values(chi, target, [g for g, _ in target.generators])
+
+
+def walk(chi):
+    """Yield (a mod m, t) with chi(a) = zeta_{order}**t, once for every unit a.
+
+    A mixed-radix odometer over the generators: stepping g_i multiplies a
+    by g_i and adds e_i*order/o_i to t.  After o_i steps both are back
+    where they started, so a digit that rolls over needs no correction
+    of a or t.
+    """
+    m, d = chi.modulus, chi.order
+    gens = [(g, o, e * d // o) for e, (g, o) in zip(chi.exponents, chi.group.generators)]
+    if not gens:
+        yield 1 % m, 0
+        return
+    (g0, o0, s0), rest = gens[0], gens[1:]
+    digits = [0] * len(rest)
+    a, t = 1, 0
+    while True:
+        for _ in range(o0):
+            yield a, t
+            a = a * g0 % m
+            t = (t + s0) % d
+        for i, (g, o, s) in enumerate(rest):
+            a = a * g % m
+            t = (t + s) % d
+            digits[i] += 1
+            if digits[i] < o:
+                break
+            digits[i] = 0
+        else:
+            return
+
+
+def value_buckets(chi, n):
+    """(f, D, {t: sum of N_a over the units a in [1, f] with chi(a) =
+    zeta_{order}**t}) for primitive chi, by walking every unit and
+    evaluating N_a = sum_i c_i a**(n-i) by Horner's rule."""
+    f = chi.conductor
+    big_d = lfun._bernoulli_denominator_lcm(n)
+    coeffs = lfun._numerator_coefficients(n, f, big_d)
+    buckets = {}
+    for a, t in walk(chi):
+        a = a or f  # the walk mod 1 yields the residue 0
+        v = 0
+        for c in coeffs:
+            v = v * a + c
+        buckets[t] = buckets.get(t, 0) + v
+    return f, big_d, buckets

@@ -17,7 +17,7 @@ from kzeta.characters import (
     unit_group,
 )
 
-from oracles import element_from_exponents, evaluate
+from oracles import element_from_exponents, evaluate, walk
 from oracles import lift_to as oracle_lift_to
 from oracles import primitive as oracle_primitive
 
@@ -165,7 +165,7 @@ def test_walk_matches_dlog_evaluation(m):
     g = unit_group(m)
     for exps in _all_exponent_tuples(g):
         chi = DirichletCharacter(g, exps)
-        walked = list(chi.walk())
+        walked = list(walk(chi))
         assert len(walked) == g.phi
         assert dict(walked) == {a % m: evaluate(chi, a) for a in units(m)}
         assert chi.is_even == (evaluate(chi, m - 1) == 0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kzeta import characters
+from kzeta import characters, lfun
 from kzeta.arith import primes_up_to, valuation
 from kzeta.characters import DirichletCharacter, FieldSpec, unit_group
 from kzeta.ktheory import (
@@ -109,17 +109,17 @@ def test_w_invariant_walks_no_units(monkeypatch, m):
     spec = FieldSpec.real_cyclotomic(m)
     spec.characters
     calls = []
-    walk = DirichletCharacter.walk
+    transversal = lfun._transversal
 
-    def counting_walk(self):
-        calls.append("walk")
-        return walk(self)
+    def counting_transversal(f):
+        calls.append("transversal")
+        return transversal(f)
 
     def counting_unit_group(n):
         calls.append("unit_group")
         return unit_group(n)
 
-    monkeypatch.setattr(DirichletCharacter, "walk", counting_walk)
+    monkeypatch.setattr(lfun, "_transversal", counting_transversal)
     monkeypatch.setattr(characters, "unit_group", counting_unit_group)
     w_invariant(spec, 2)
     assert calls == []
@@ -183,6 +183,16 @@ def test_k_order_real_cyclotomic_conductor_1009():
     assert order.bit_length() == 5375
     assert order % 10**12 == 764153344000
     digest = "bcbe5100fd7ec788542e4bf09daf0cb5dd9197e1ee91ff6e4582e4a82590e06e"
+    assert hashlib.sha256(b"%x" % order).hexdigest() == digest
+
+
+@pytest.mark.parametrize("m", [15015, 30030])
+def test_k_order_real_cyclotomic_composite_pins(m):
+    # recorded while the bucket sums still walked every unit of each
+    # conductor; both moduli give the same field, as 15015 is odd
+    order = k_order(FieldSpec.real_cyclotomic(m), 1, factor=False).order
+    assert order.bit_length() == 36782
+    digest = "89aa0403fe9e9a0d602a9c81a10f6361a2e79b7cffce84d262610fac2a14c058"
     assert hashlib.sha256(b"%x" % order).hexdigest() == digest
 
 

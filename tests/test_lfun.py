@@ -5,11 +5,13 @@ definition-unrolling oracle for B_{n,chi}, and orbit products computed as ring
 element products at one cyclotomic level versus the orbit-norm rational
 recombination."""
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kzeta import lfun
@@ -32,7 +34,7 @@ from kzeta.characters import (
     trivial_character,
     unit_group,
 )
-from kzeta.ktheory import w_invariant
+from kzeta.ktheory import k_order, w_invariant
 from kzeta.lfun import (
     char_bernoulli_pi_valuation,
     generalized_bernoulli,
@@ -43,6 +45,7 @@ from kzeta.lfun import (
 from kzeta.powersum import bernoulli_number, bernoulli_polynomial
 
 from oracles import evaluate
+from oracles import value_buckets as oracle_value_buckets
 
 
 def prime_power_base(d):
@@ -174,6 +177,8 @@ def test_requires_primitive_and_prime_power_order():
         generalized_bernoulli(order12, 2)
     with pytest.raises(ValueError):
         generalized_bernoulli(trivial_character(), 1)
+    with pytest.raises(ValueError, match="must be primitive"):
+        lfun._value_buckets(DirichletCharacter(unit_group(14), (2,)), 2)
 
 
 def test_level_escalation_scales_valuation():
@@ -381,3 +386,63 @@ def test_vanishing_raises_in_valuation():
     chi = DirichletCharacter(g, (1,))  # order 4, odd
     with pytest.raises(ArithmeticError):
         char_bernoulli_pi_valuation(chi, 1)
+
+
+# 1, 2^k times an odd number, three-factor composites, 4620 = 4*3*5*7*11 with
+# five generators, and the rest of the small moduli
+BUCKET_MODULI = st.one_of(
+    st.sampled_from([1, 2, 4, 8, 16, 32, 24, 40, 96, 105, 120, 180, 252, 280, 4620]),
+    st.integers(1, 150),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(BUCKET_MODULI, st.integers(2, 9))
+@example(1, 2)  # f = 1: one unit, no pairing of a with -a
+@example(4, 2)  # f = 4: the 'minus' digit is cut to radix 1
+@example(8, 5)  # f = 8: 'minus' and 'five' generators
+@example(7, 3)  # odd chi with odd n, where the sign term is live
+@example(252, 9)  # 4 * 9 * 7: the cut 'minus' digit and two odd ones
+@example(4620, 2)  # five generators, folded by slices down to one
+def test_value_buckets_match_walk(m, n):
+    # every primitive character mod m, even and odd: the slice sums over
+    # half the units equal the walk over all of them, one Horner per unit
+    g = unit_group(m)
+    exponent_tuples = itertools.product(*(range(o) for _, o in g.generators))
+    for chi in (DirichletCharacter(g, exps) for exps in exponent_tuples):
+        if chi.is_primitive():
+            want = oracle_value_buckets(chi, n)
+            assert lfun._value_buckets(chi, n) == want, (m, chi.exponents, n)
+
+
+def test_weights_built_once_per_conductor(monkeypatch):
+    calls = []
+    transversal = lfun._transversal
+
+    def counting_transversal(f):
+        calls.append(f)
+        return transversal(f)
+
+    monkeypatch.setattr(lfun, "_transversal", counting_transversal)
+    lfun._half_weights.cache_clear()
+    spec = FieldSpec.real_cyclotomic(4620)
+    k_order(spec, 1, factor=False)
+    conductors = [chi.conductor for chi in lfun._galois_orbits(spec.characters)]
+    assert sorted(calls) == sorted(set(conductors))
+    assert len(calls) < len(conductors)  # 29 conductors, 95 orbits
+
+
+@pytest.mark.parametrize(
+    "ell, p, bits, digest",
+    [
+        (4001, 5, 135, "84f8df2031cd1d67d388da3c37c13bb92652fbc9e5fc9774f2f17e542215d431"),
+        (4003, 3, 25, "f9b0c4ae60f7a1c612f5ddc73d426bfebe217715475a20f26adbc346d0ecf407"),
+    ],
+)
+def test_prime_cyclic_zeta_pins(ell, p, bits, digest):
+    # recorded while the bucket sums still walked every unit mod ell
+    value = zeta_value_negative(FieldSpec.prime_cyclic_subfield(ell, p), p - 2)
+    assert value.numerator.bit_length() == bits
+    assert value.denominator == 3
+    text = b"%x/%x" % (value.numerator, value.denominator)
+    assert hashlib.sha256(text).hexdigest() == digest
