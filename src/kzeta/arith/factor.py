@@ -1,15 +1,24 @@
-"""Integer primality and factorization: trial division, Miller-Rabin, Pollard rho.
+"""Integer primality and factorization: trial division, Miller-Rabin,
+Pollard rho and the elliptic-curve method.
 
 Primality is deterministic below 2**64 (fixed witness set) and strongly
 probabilistic above.  Factorization is exact: the returned multiset always
 multiplies back to the input, and every factor reported prime has passed
-the primality test.  Trial division tests blocks of small primes at once by
-a gcd with their product; primes in a residue class are counted by a
-segmented sieve in memory O(sqrt(x)).
-"""
+the primality test.  It runs three stages.  Trial division tests blocks of
+small primes at once by a gcd with their product.  Brent's rho then gets a
+fixed number of steps per composite, which splits off factors of up to
+about 7 digits.  Lenstra's elliptic-curve method takes the composites rho
+leaves: rho's cost grows as the square root of the factor it finds, the
+curves' cost only subexponentially in that factor's size.  A short pretest
+of cheap curves comes first, then curves with stage-1 bound 10**5.  Rho and
+every curve draw their parameters from one generator seeded by the caller,
+so a seed fixes the work done; the factorization does not depend on it.
+Primes in a residue class are counted by a segmented sieve in memory
+O(sqrt(x))."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -21,6 +30,17 @@ _DETERMINISTIC_BOUND = 2**64  # is_prime draws random witnesses only above this
 _TRIAL_BOUND = 100_000
 _TRIAL_BLOCK = 64  # small primes per gcd in trial division
 _SEGMENT = 1 << 18  # numbers per segment of the counting sieve
+_RHO_CAP = 1 << 13  # steps of Brent's rho per composite before ECM takes it
+# ECM: a pretest of _ECM_PRETEST curves whose stage-1 bound B1 grows from
+# _ECM_B1 by _ECM_GROWTH per curve (to 985), then every curve at the trial
+# bound.  Stage 2 runs to _ECM_B2 * B1 in giant steps of _ECM_D.
+_ECM_B1 = 100
+_ECM_GROWTH = 1.1
+_ECM_PRETEST = 25
+_ECM_B2 = 50
+_ECM_D = 210
+_ECM_CHUNK_BITS = 4096  # bits per chunk of a retraced stage 1, one gcd each
+_ECM_BLOCK = 256  # giant steps of stage 2 held at once, with one gcd
 
 # Module globals rather than lru_cache: both tables are fixed for the process,
 # and emptying the caches of kzeta must not make the next call rebuild them.
@@ -140,12 +160,14 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
     return True
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite n (not necessarily prime).
+def _pollard_rho(n: int, rng: random.Random) -> int | None:
+    """A nontrivial factor of composite n (not necessarily prime), or None
+    once _RHO_CAP steps y -> y*y + c have found none.
 
     Brent's cycle-finding variant with batched gcds.  n must be odd,
     composite, and free of factors below the trial bound.
     """
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -153,6 +175,9 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_CAP:
+                return None
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -176,12 +201,225 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         # cycle degenerated for this (y, c); retry with fresh parameters
 
 
+def _xdbl(X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
+    """2(X : Z) on the Montgomery curve with (A + 2)/4 = a24, mod n."""
+    s = (X + Z) * (X + Z) % n
+    d = (X - Z) * (X - Z) % n
+    e = s - d
+    return s * d % n, e * (d + a24 * e % n) % n
+
+
+def _xadd(X0: int, Z0: int, X1: int, Z1: int, Xd: int, Zd: int, n: int) -> tuple[int, int]:
+    """(X0 : Z0) + (X1 : Z1) mod n, given their difference (Xd : Zd)."""
+    a = (X0 - Z0) * (X1 + Z1) % n
+    b = (X0 + Z0) * (X1 - Z1) % n
+    return Zd * ((a + b) * (a + b) % n) % n, Xd * ((a - b) * (a - b) % n) % n
+
+
+def _ladder(x: int, k: int, a24: int, n: int) -> tuple[int, int]:
+    """k(x : 1) for k >= 1 by the x-only Montgomery ladder: R1 - R0 stays
+    (x : 1), so each bit of k costs one addition and one doubling, ten
+    products mod n."""
+    X0, Z0 = x, 1
+    X1, Z1 = _xdbl(x, 1, a24, n)
+    for bit in bin(k)[3:]:
+        p0 = X0 + Z0
+        m0 = X0 - Z0
+        p1 = X1 + Z1
+        m1 = X1 - Z1
+        a = m0 * p1 % n
+        b = p0 * m1 % n
+        c = a + b
+        f = a - b
+        if bit == "1":  # R0 <- R0 + R1, R1 <- 2 R1
+            X0 = c * c % n
+            Z0 = f * f % n * x % n
+            s = p1 * p1 % n
+            d = m1 * m1 % n
+            e = s - d
+            X1 = s * d % n
+            Z1 = (a24 * e % n + d) * e % n
+        else:  # R1 <- R0 + R1, R0 <- 2 R0
+            X1 = c * c % n
+            Z1 = f * f % n * x % n
+            s = p0 * p0 % n
+            d = m0 * m0 % n
+            e = s - d
+            X0 = s * d % n
+            Z0 = (a24 * e % n + d) * e % n
+    return X0, Z0
+
+
+def _affine(points: list[tuple[int, int]], n: int) -> tuple[list[int], int]:
+    """(the x = X/Z of each point, g) by one inversion mod n (Montgomery's
+    trick), where g = gcd(n, product of the Z); the x are valid if g == 1."""
+    prefix = [1]
+    for _, Z in points:
+        prefix.append(prefix[-1] * Z % n)
+    g = math.gcd(prefix[-1], n)
+    if g != 1:
+        return [], g
+    inv = pow(prefix[-1], -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Z = points[i]
+        xs[i] = X * prefix[i] % n * inv % n
+        inv = inv * Z % n
+    return xs, 1
+
+
+@functools.lru_cache(maxsize=64)
+def _stage1_chunks(b1: int) -> tuple[int, ...]:
+    """The largest power up to b1 of each prime p <= b1 (primes below the
+    trial bound only), multiplied together in ascending runs of at least
+    _ECM_CHUNK_BITS bits.
+
+    >>> _stage1_chunks(10)
+    (2520,)
+    """
+    chunks, k = [], 1
+    for p in small_primes():
+        if p > b1:
+            break
+        q = p
+        while q * p <= b1:
+            q *= p
+        k *= q
+        if k.bit_length() >= _ECM_CHUNK_BITS:
+            chunks.append(k)
+            k = 1
+    return tuple(chunks + [k] if k > 1 else chunks)
+
+
+@functools.lru_cache(maxsize=64)
+def _stage1_multiplier(b1: int) -> int:
+    """The product of _stage1_chunks(b1)."""
+    return math.prod(_stage1_chunks(b1))
+
+
+def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
+    """gcd of n with what one elliptic curve leaves: 1 when the curve finds
+    nothing, n when it finds every prime of n at once, else a proper divisor.
+
+    Suyama's parametrisation by sigma gives a Montgomery curve
+    B y^2 = x^3 + A x^2 + x mod n whose order mod every prime is divisible
+    by 12.  Stage 1 multiplies the starting point by all prime powers up to
+    b1 with one x-only ladder, and finds p when the order of the point mod
+    p is b1-smooth.  Stage 2 finds p when the order of Q, stage 1's point,
+    is one number m*D +- j up to b2 with gcd(j, D) = 1 and j < D/2: then
+    x(m*D*Q) = x(j*Q) mod p, so p divides the product of the differences.
+    When stage 1 finds every prime at once, it is retraced with a gcd after
+    each chunk of its multiplier; stage 2 takes a gcd after each block of
+    giant steps.  So two primes that one curve finds mostly come apart.
+
+    >>> _ecm_curve(1000003 * 1000033, 2, 100, 5000)
+    1000003
+    """
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x0, z0 = pow(u, 3, n), pow(v, 3, n)
+    t = 16 * x0 * v % n
+    g = math.gcd(t * z0, n)
+    if g != 1:
+        return g
+    inv = pow(t * z0, -1, n)
+    a24 = pow(v - u, 3, n) * (3 * u + v) * z0 % n * inv % n  # (v-u)^3 (3u+v) / (16 u^3 v)
+    x = x0 * t % n * inv % n
+    X, Z = _ladder(x, _stage1_multiplier(b1), a24, n)
+    g = math.gcd(Z, n)
+    if g == n:  # every prime at once: retrace with a gcd after each chunk
+        for k in _stage1_chunks(b1):
+            X, Z = _ladder(x, k, a24, n)
+            g = math.gcd(Z, n)
+            if g != 1:
+                return g
+            x = X * pow(Z, -1, n) % n
+    if g != 1:
+        return g
+    x = X * pow(Z, -1, n) % n  # Q = (x : 1)
+    D = _ECM_D
+    # Baby steps j*Q, odd j < D/2, by (j + 2)Q = jQ + 2Q with difference (j - 2)Q.
+    double = _xdbl(x, 1, a24, n)
+    baby = [(x, 1)]
+    prev, cur = (x, 1), _xadd(*double, x, 1, x, 1, n)
+    for j in range(3, D // 2, 2):
+        if math.gcd(j, D) == 1:
+            baby.append(cur)
+        prev, cur = cur, _xadd(*cur, *double, *prev, n)
+    # A Z sharing a factor with n is a find too: j*Q = 0 or m*D*Q = 0 mod p.
+    baby, g = _affine(baby, n)
+    if g != 1:
+        return g
+    # Giant steps m*D*Q for m0 <= m <= m1, by (m + 1)DQ = mDQ + DQ with
+    # difference (m - 1)DQ, turned affine _ECM_BLOCK at a time.
+    m0 = max(1, b1 // D)
+    m1 = max(m0 + 1, b2 // D + 1)
+    Xs, Zs = _ladder(x, D, a24, n)
+    ps, ms = Xs + Zs, Xs - Zs
+    X0, Z0 = _ladder(x, m0 * D, a24, n)
+    X1, Z1 = _ladder(x, (m0 + 1) * D, a24, n)
+    acc = 1
+    for start in range(m0, m1 + 1, _ECM_BLOCK):
+        giant = []
+        for _ in range(min(_ECM_BLOCK, m1 + 1 - start)):
+            giant.append((X0, Z0))
+            a = (X1 - Z1) * ps % n
+            b = (X1 + Z1) * ms % n
+            c = a + b
+            f = a - b
+            X0, Z0, X1, Z1 = X1, Z1, c * c % n * Z0 % n, f * f % n * X0 % n
+        giant, g = _affine(giant, n)
+        if g != 1:
+            return g
+        for gx in giant:
+            for bx in baby:
+                acc = acc * (gx - bx) % n
+        g = math.gcd(acc, n)
+        if g != 1:
+            return g
+    return 1
+
+
+def _ecm_bounds():
+    """Stage-1 bounds of successive curves: the pretest's, growing from
+    _ECM_B1, then the trial bound for good."""
+    for i in range(_ECM_PRETEST):
+        yield round(_ECM_B1 * _ECM_GROWTH**i)
+    yield from itertools.repeat(_TRIAL_BOUND)
+
+
+def _ecm(n: int, rng: random.Random, b1s) -> int:
+    """A nontrivial factor of composite n (not necessarily prime), by
+    Lenstra's elliptic-curve method (Ann. Math. 126 (1987)).
+
+    Each curve takes its stage-1 bound b1 from the iterator b1s, shared by
+    every composite of one factorization, and its sigma from rng, and runs
+    stage 2 to _ECM_B2 * b1.  n must be odd, composite, and free of factors
+    below the trial bound.
+    """
+    while True:
+        b1 = next(b1s)
+        g = _ecm_curve(n, rng.randrange(6, n - 1), b1, _ECM_B2 * b1)
+        if g != 1 and g != n:
+            return g
+
+
 def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     """Factor n >= 1 into a sorted list of (prime, exponent) pairs.
 
-    The rho stage is randomized but seeded, so output is deterministic for
-    a fixed seed (default seed is fixed too).  The generator is built only
-    when rho runs or a cofactor above 2**64 is tested for primality.
+    Three stages: trial division by the primes below the trial bound, then
+    Brent's rho on each composite left, stopped after _RHO_CAP steps, then
+    the elliptic-curve method on the composites rho leaves.  The curves
+    share one schedule of stage-1 bounds: a pretest of _ECM_PRETEST curves
+    whose bound grows from _ECM_B1 by _ECM_GROWTH per curve mostly finds
+    factors of up to about 13 digits in a few hundredths of a second, and every
+    later curve runs at the trial bound, 10**5, which costs 0.3 s or more
+    per curve and suits factors of about 14 to 25 digits.
+    Rho's parameters and every curve's sigma come from one generator
+    seeded by seed (default 0xD1CE), so the work done is fixed for a fixed
+    seed; the result, the unique factorization, is the same for every
+    seed.  The generator is built only when rho runs or a cofactor above
+    2**64 is tested for primality.
 
     >>> factorize(2244096)
     [(2, 9), (3, 2), (487, 1)]
@@ -213,17 +451,18 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
                 g //= p
                 if g == 1:
                     break
-    stack = [n] if n > 1 else []
+    b1s = None  # one schedule of stage-1 bounds for every composite ECM gets
+    stack = [(n, True)] if n > 1 else []  # (cofactor, whether rho may try it)
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m, rho = stack.pop()
         if is_prime(m, seeded() if m >= _DETERMINISTIC_BOUND else None):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, seeded())
-        stack.append(d)
-        stack.append(m // d)
+        d = _pollard_rho(m, seeded()) if rho else None
+        if d is None:
+            b1s = b1s or _ecm_bounds()
+            d, rho = _ecm(m, seeded(), b1s), False
+        stack += [(d, rho), (m // d, rho)]
     return sorted(factors.items())
 
 

@@ -411,6 +411,13 @@ class FieldSpec:
             raise ValueError("unknown field spec kind %r" % (self.kind,))
         return _even_characters_of_exponent(self.m, exponent)
 
+    def require_totally_real(self) -> None:
+        """Raise ValueError if X_F holds an odd character.  Only a hand-built
+        explicit spec can: the other kinds enumerate even characters, and
+        FieldSpec.explicit refuses odd ones."""
+        if self.kind == "explicit" and not all(chi.is_even for chi in self.explicit_chars):
+            raise ValueError("field is not totally real (odd character present)")
+
     def sorted_characters(self) -> list:
         return sorted(self.characters, key=lambda c: c.sort_key())
 

@@ -38,12 +38,6 @@ class ComputationError(RuntimeError):
     """An internal exact-arithmetic assertion failed (a bug signal)."""
 
 
-def _require_totally_real(spec: FieldSpec) -> None:
-    for chi in spec.characters:
-        if not chi.is_even:
-            raise ValueError("field is not totally real (odd character present)")
-
-
 def _require_odd_k(k: int) -> None:
     if not isinstance(k, int) or k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
@@ -71,7 +65,7 @@ def w_invariant(spec: FieldSpec, j: int) -> int:
     """
     if not isinstance(j, int) or j < 1:
         raise ValueError("j must be an integer >= 1, got %r" % (j,))
-    _require_totally_real(spec)
+    spec.require_totally_real()
     conductors = collections.Counter(chi.conductor for chi in spec.characters)
     candidates = {2} | {q for q, _ in factorize(math.lcm(*conductors))}
     candidates |= {q for q in primes_up_to(j + 1) if j % (q - 1) == 0}

@@ -372,12 +372,9 @@ def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
     """
     if not isinstance(k, int) or k < 1 or k % 2 == 0:
         raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
-    chars = spec.characters
-    for chi in chars:
-        if not chi.is_even:
-            raise ValueError("field is not totally real (odd character present)")
+    spec.require_totally_real()
     value = Fraction(-bernoulli_number(k + 1), k + 1)
-    for chi in _galois_orbits(chars):
+    for chi in _galois_orbits(spec.characters):
         phi_d = unit_group(chi.order).phi
         value *= Fraction(-1, k + 1) ** phi_d * _orbit_bernoulli_product(chi, k + 1)
     return value

@@ -225,6 +225,75 @@ def test_factorize_builds_its_generator_once(monkeypatch):
     assert built == [(3,)]
 
 
+def test_rho_splits_stats_semiprimes_before_its_cap():
+    # products of two 6-digit primes, the semiprimes of the stats workload,
+    # stay with rho: it needs at most 4094 steps on them, half of _RHO_CAP
+    rng = random.Random(29)
+    for _ in range(40):
+        p = q = 1
+        while not is_prime(p):
+            p = rng.randrange(10**5, 10**6)
+        while not is_prime(q) or q == p:
+            q = rng.randrange(10**5, 10**6)
+        assert factor._pollard_rho(p * q, random.Random(0xD1CE)) in (p, q)
+
+
+def test_rho_gives_up_at_its_cap():
+    p, q = 1222730300837, 10676097582233
+    assert factor._pollard_rho(p * q, random.Random(0xD1CE)) is None
+
+
+def test_ecm_curve_separates_primes_found_at_once():
+    # with sigma 6, the whole stage-1 multiplier for b1 = 20000 kills the
+    # point mod both primes; the retrace by chunks splits them
+    n = 1000003 * 1000033
+    assert factor._ecm_curve(n, 6, 20000, 20000) == 1000033
+
+
+@st.composite
+def ecm_primes(draw):
+    """2 or 3 distinct primes of 9 to 14 digits, from random starts."""
+    primes = set()
+    for _ in range(draw(st.integers(2, 3))):
+        digits = draw(st.integers(9, 14))
+        p = draw(st.integers(10 ** (digits - 1), 10**digits - 1)) | 1
+        while not is_prime(p) or p in primes:
+            p += 2
+        primes.add(p)
+    return sorted(primes)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(ecm_primes())
+def test_factorize_splits_products_of_large_primes(primes):
+    # factors beyond rho's reach: the elliptic-curve stage splits them, and
+    # the result does not depend on the seed
+    n = math.prod(primes)
+    for seed in range(4):
+        assert factorize(n, seed=seed) == [(p, 1) for p in primes]
+
+
+# Full factorizations of #K_14 of Q(zeta_17)^+ and #K_6 of Q(zeta_37)^+,
+# checked once against sympy.factorint.
+KORDER_FACTORS = {
+    (17, 7): [(2, 3), (5, 1), (19, 1), (137, 1), (241, 1), (2753, 1), (78241, 1),
+              (1576363, 1), (1222730300837, 1), (10676097582233, 1)],
+    (37, 3): [(3, 2), (7, 1), (37, 1), (109, 1), (1129, 1), (18919, 1), (211153, 1),
+              (433513, 1), (15091399, 1), (61486126381, 1), (1350582605839, 1)],
+}
+
+
+@pytest.mark.parametrize("m,k", sorted(KORDER_FACTORS))
+def test_factorize_korder_pins(m, k):
+    from kzeta.characters import FieldSpec
+    from kzeta.ktheory import k_order
+
+    order = k_order(FieldSpec.real_cyclotomic(m), k, factor=False).order
+    want = KORDER_FACTORS[m, k]
+    assert math.prod(p**e for p, e in want) == order
+    assert factorize(order) == want
+
+
 def test_factorize_round_trip():
     rng = random.Random(7)
     samples = list(range(2, 400)) + [rng.randrange(10**6, 10**12) for _ in range(25)]

@@ -12,6 +12,7 @@ from kzeta.arith import is_prime
 from kzeta.characters import (
     DirichletCharacter,
     FieldSpec,
+    _even_characters_of_exponent,
     ghat_stratum,
     trivial_character,
     unit_group,
@@ -366,6 +367,17 @@ def test_field_characters_match_brute_force(m):
         if is_prime(m) and m % p == 1:
             spec = FieldSpec.prime_cyclic_subfield(m, p)
             assert spec.characters == primitives(lambda d: p % d == 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(MODULI, st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 60]))
+def test_enumerated_characters_are_even(m, exponent):
+    # FieldSpec.require_totally_real trusts the constructed kinds to be even,
+    # so check chi(-1) = 1 by the value oracle, not by is_even
+    chars = _even_characters_of_exponent(m, exponent)
+    assert chars
+    for chi in chars:
+        assert chi.conductor == 1 or evaluate(chi, chi.conductor - 1) == 0, chi
 
 
 def test_prime_cyclic_subfield():

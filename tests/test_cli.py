@@ -68,6 +68,19 @@ def test_json_output_deterministic(capsys):
     assert rec1["result"] == rec3["result"]
 
 
+def test_seed_does_not_change_the_factorization(capsys):
+    # #K_6 of Q(zeta_37)^+ has prime factors of 11 and 13 digits, which only
+    # the elliptic-curve stage splits; every seed draws other curves
+    code, out, _ = run(capsys, "korder", "--m", "37", "--k", "3", "--json")
+    assert code == 0
+    want = json.loads(out)["result"]
+    assert "61486126381" in json.dumps(want)
+    for seed in ("1", "2", "3"):
+        code, out, _ = run(capsys, "korder", "--m", "37", "--k", "3", "--json", "--seed", seed)
+        assert code == 0
+        assert json.loads(out)["result"] == want
+
+
 def test_out_file_matches_canonical_line(tmp_path, capsys):
     path = tmp_path / "record.json"
     code, out, _ = run(capsys, "korder", "--m", "7", "--k", "3", "--json", "--out", str(path))

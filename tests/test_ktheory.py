@@ -209,6 +209,30 @@ def test_k_order_input_validation():
     odd = FieldSpec("explicit", explicit_chars=frozenset({odd_chi}))
     with pytest.raises(ValueError, match="field is not totally real"):
         k_order(odd, 1)
+    with pytest.raises(ValueError, match="field is not totally real"):
+        zeta_value_negative(odd, 1)
+
+
+def test_constructed_specs_skip_the_parity_scan(monkeypatch):
+    # only an explicit spec can hold an odd character, so only it is scanned
+    specs = [
+        FieldSpec.real_cyclotomic(4620),
+        FieldSpec.max_p_subextension(4620, 5),
+        FieldSpec.prime_cyclic_subfield(4621, 5),
+    ]
+    for spec in specs:
+        spec.characters
+    calls = []
+    monkeypatch.setattr(
+        DirichletCharacter, "is_even", property(lambda chi: calls.append(chi) or True)
+    )
+    for spec in specs:
+        spec.require_totally_real()
+        w_invariant(spec, 2)
+    assert calls == []
+    explicit = FieldSpec("explicit", explicit_chars=specs[2].characters)
+    explicit.require_totally_real()
+    assert len(calls) == 5
 
 
 def test_k_order_integrality_sweep():
