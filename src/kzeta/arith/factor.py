@@ -18,7 +18,6 @@ O(sqrt(x))."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -32,20 +31,22 @@ _TRIAL_BLOCK = 64  # small primes per gcd in trial division
 _SEGMENT = 1 << 18  # numbers per segment of the counting sieve
 _RHO_CAP = 1 << 13  # steps of Brent's rho per composite before ECM takes it
 # ECM: a pretest of _ECM_PRETEST curves whose stage-1 bound B1 grows from
-# _ECM_B1 by _ECM_GROWTH per curve (to 985), then every curve at the trial
+# _ECM_B1 by _ECM_GROWTH per curve (to 673), then every curve at the trial
 # bound.  Stage 2 runs to _ECM_B2 * B1 in giant steps of _ECM_D.
 _ECM_B1 = 100
 _ECM_GROWTH = 1.1
-_ECM_PRETEST = 25
+_ECM_PRETEST = 21
 _ECM_B2 = 50
 _ECM_D = 210
-_ECM_CHUNK_BITS = 4096  # bits per chunk of a retraced stage 1, one gcd each
+_ECM_CHUNK_BITS = 4096  # bits of the stage-1 multiplier per ladder, one gcd each
 _ECM_BLOCK = 256  # giant steps of stage 2 held at once, with one gcd
 
-# Module globals rather than lru_cache: both tables are fixed for the process,
+# Module globals rather than lru_cache: the tables are fixed for the process,
 # and emptying the caches of kzeta must not make the next call rebuild them.
 _small_primes: list[int] | None = None
 _trial_blocks: list[tuple[int, list[int]]] | None = None
+# b1 -> _stage1_chunks(b1); factorize asks for the _ECM_PRETEST + 1 bounds of _ecm_bounds()
+_stage1_tables: dict[int, tuple[int, ...]] = {}
 
 
 def small_primes() -> list[int]:
@@ -268,33 +269,29 @@ def _affine(points: list[tuple[int, int]], n: int) -> tuple[list[int], int]:
     return xs, 1
 
 
-@functools.lru_cache(maxsize=64)
 def _stage1_chunks(b1: int) -> tuple[int, ...]:
     """The largest power up to b1 of each prime p <= b1 (primes below the
     trial bound only), multiplied together in ascending runs of at least
-    _ECM_CHUNK_BITS bits.
+    _ECM_CHUNK_BITS bits; built once per b1 and kept for the life of the
+    process.
 
     >>> _stage1_chunks(10)
     (2520,)
     """
-    chunks, k = [], 1
-    for p in small_primes():
-        if p > b1:
-            break
-        q = p
-        while q * p <= b1:
-            q *= p
-        k *= q
-        if k.bit_length() >= _ECM_CHUNK_BITS:
-            chunks.append(k)
-            k = 1
-    return tuple(chunks + [k] if k > 1 else chunks)
-
-
-@functools.lru_cache(maxsize=64)
-def _stage1_multiplier(b1: int) -> int:
-    """The product of _stage1_chunks(b1)."""
-    return math.prod(_stage1_chunks(b1))
+    if b1 not in _stage1_tables:
+        runs, k = [], 1
+        for p in small_primes():
+            if p > b1:
+                break
+            q = p
+            while q * p <= b1:
+                q *= p
+            k *= q
+            if k.bit_length() >= _ECM_CHUNK_BITS:
+                runs.append(k)
+                k = 1
+        _stage1_tables[b1] = tuple(runs + [k] if k > 1 else runs)
+    return _stage1_tables[b1]
 
 
 def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
@@ -304,13 +301,13 @@ def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
     Suyama's parametrisation by sigma gives a Montgomery curve
     B y^2 = x^3 + A x^2 + x mod n whose order mod every prime is divisible
     by 12.  Stage 1 multiplies the starting point by all prime powers up to
-    b1 with one x-only ladder, and finds p when the order of the point mod
-    p is b1-smooth.  Stage 2 finds p when the order of Q, stage 1's point,
+    b1 with x-only ladders, and finds p when the order of the point mod p
+    is b1-smooth.  Stage 2 finds p when the order of Q, stage 1's point,
     is one number m*D +- j up to b2 with gcd(j, D) = 1 and j < D/2: then
     x(m*D*Q) = x(j*Q) mod p, so p divides the product of the differences.
-    When stage 1 finds every prime at once, it is retraced with a gcd after
-    each chunk of its multiplier; stage 2 takes a gcd after each block of
-    giant steps.  So two primes that one curve finds mostly come apart.
+    Stage 1 runs one ladder per chunk of its multiplier and takes a gcd
+    after each, and stage 2 takes one after each block of giant steps; so
+    two primes that one curve finds mostly come apart.
 
     >>> _ecm_curve(1000003 * 1000033, 2, 100, 5000)
     1000003
@@ -325,18 +322,12 @@ def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
     inv = pow(t * z0, -1, n)
     a24 = pow(v - u, 3, n) * (3 * u + v) * z0 % n * inv % n  # (v-u)^3 (3u+v) / (16 u^3 v)
     x = x0 * t % n * inv % n
-    X, Z = _ladder(x, _stage1_multiplier(b1), a24, n)
-    g = math.gcd(Z, n)
-    if g == n:  # every prime at once: retrace with a gcd after each chunk
-        for k in _stage1_chunks(b1):
-            X, Z = _ladder(x, k, a24, n)
-            g = math.gcd(Z, n)
-            if g != 1:
-                return g
-            x = X * pow(Z, -1, n) % n
-    if g != 1:
-        return g
-    x = X * pow(Z, -1, n) % n  # Q = (x : 1)
+    for k in _stage1_chunks(b1):
+        X, Z = _ladder(x, k, a24, n)
+        g = math.gcd(Z, n)
+        if g != 1:
+            return g
+        x = X * pow(Z, -1, n) % n  # after the last chunk, Q = (x : 1)
     D = _ECM_D
     # Baby steps j*Q, odd j < D/2, by (j + 2)Q = jQ + 2Q with difference (j - 2)Q.
     double = _xdbl(x, 1, a24, n)

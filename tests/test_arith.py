@@ -245,7 +245,7 @@ def test_rho_gives_up_at_its_cap():
 
 def test_ecm_curve_separates_primes_found_at_once():
     # with sigma 6, the whole stage-1 multiplier for b1 = 20000 kills the
-    # point mod both primes; the retrace by chunks splits them
+    # point mod both primes; the gcd after each chunk splits them
     n = 1000003 * 1000033
     assert factor._ecm_curve(n, 6, 20000, 20000) == 1000033
 
