@@ -1,20 +1,22 @@
 """Integer primality and factorization: trial division, Miller-Rabin,
 Pollard rho and the elliptic-curve method.
 
-Primality is deterministic below 2**64 (fixed witness set) and strongly
-probabilistic above.  Factorization is exact: the returned multiset always
-multiplies back to the input, and every factor reported prime has passed
-the primality test.  It runs three stages.  Trial division tests blocks of
-small primes at once by a gcd with their product.  Brent's rho then gets a
-fixed number of steps per composite, which splits off factors of up to
-about 7 digits.  Lenstra's elliptic-curve method takes the composites rho
+Primality is deterministic below 2**64, by the fewest fixed witnesses that
+suffice for the size of n, and strongly probabilistic above.
+Factorization is exact: the returned multiset always multiplies back to the
+input, and every factor reported prime has passed the primality test.  It
+runs three stages.  Trial division tests blocks of small primes at once by
+a gcd with their product, and stops early once a cofactor below 2**64 is
+prime, or composite and too large for the walk to finish.  Brent's rho then
+gets a fixed number of steps per composite, which splits off factors of up
+to about 7 digits.  Lenstra's elliptic-curve method takes the composites rho
 leaves: rho's cost grows as the square root of the factor it finds, the
 curves' cost only subexponentially in that factor's size.  A short pretest
 of cheap curves comes first, then curves with stage-1 bound 10**5.  Rho and
 every curve draw their parameters from one generator seeded by the caller,
 so a seed fixes the work done; the factorization does not depend on it.
-Primes in a residue class are counted by a segmented sieve in memory
-O(sqrt(x))."""
+Primes = 1 (mod q) up to x are counted by a segmented sieve of the odd
+numbers = 1 (mod q) alone, in memory O(sqrt(x)) and time about x/q."""
 
 from __future__ import annotations
 
@@ -24,11 +26,25 @@ import random
 
 # Deterministic Miller-Rabin witnesses for n < 2**64 (Sorenson & Webster).
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 _DETERMINISTIC_BOUND = 2**64  # is_prime draws random witnesses only above this
+# (bound, k): the first k witnesses decide every n below bound, the smallest
+# such sets known (Pomerance, Selfridge & Wagstaff, Math. Comp. 35 (1980);
+# Jaeschke, Math. Comp. 61 (1993)); each bound below 2**64 is the least
+# strong pseudoprime to those k bases.
+_WITNESS_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (_DETERMINISTIC_BOUND, 12),
+)
 _TRIAL_BOUND = 100_000
 _TRIAL_BLOCK = 64  # small primes per gcd in trial division
-_SEGMENT = 1 << 18  # numbers per segment of the counting sieve
+_SEGMENT = 1 << 18  # terms of the progression per segment of the counting sieve
 _RHO_CAP = 1 << 13  # steps of Brent's rho per composite before ECM takes it
 # ECM: a pretest of _ECM_PRETEST curves whose stage-1 bound B1 grows from
 # _ECM_B1 by _ECM_GROWTH per curve (to 673), then every curve at the trial
@@ -89,37 +105,47 @@ def _count_primes_one_mod(x: int, moduli: tuple[int, ...]) -> tuple[int, ...]:
     """For each q in moduli, the number of primes ell <= x with ell = 1 (mod q).
 
     A segmented sieve of Eratosthenes that only counts (Bays & Hudson, BIT 17
-    (1977)): the primes up to isqrt(x) are listed and counted directly, and
-    every later number lies in a bytearray segment of at most _SEGMENT entries
-    in which each of those primes crosses off its multiples.  No list of the
-    primes up to x is built, so memory stays O(sqrt(x)) as x grows.
+    (1977)), run over one progression: with q0 = gcd(moduli) and s the least
+    common multiple of 2 and q0, every odd prime = 1 (mod q) for all q is
+    1 + s*t for some t.  The primes up to isqrt(x) (and 2) are listed and
+    counted directly.  The later numbers 1 + s*t lie in bytearray segments
+    of at most _SEGMENT values of t, in which each listed prime ell prime to
+    s crosses off the t = -1/s (mod ell), and each q counts a slice of
+    stride q/gcd(q, s).  No list of the primes up to x is built, so memory
+    stays O(sqrt(x)), and the time grows as x/s.
 
     >>> _count_primes_one_mod(100, (1, 3, 9))
     (25, 11, 3)
     """
+    if x < 2:
+        return (0,) * len(moduli)
     root = math.isqrt(x)
-    base = primes_up_to(root)
+    step = math.lcm(2, math.gcd(*moduli))
+    base = primes_up_to(max(root, 2))  # 2 lies outside the progression
     counts = [sum(1 for ell in base if (ell - 1) % q == 0) for q in moduli]
-    for lo in range(root + 1, x + 1, _SEGMENT):
-        size = min(_SEGMENT, x + 1 - lo)  # the segment holds lo .. lo+size-1
+    base = [ell for ell in base if step % ell]  # the rest never divide 1 + step*t
+    # 1 + step*t is crossed off by ell when t = first[i] (mod ell)
+    first = [-pow(step, -1, ell) % ell for ell in base]
+    strides = [q // math.gcd(q, step) for q in moduli]
+    t_lo = (max(root, 2) - 1) // step + 1  # least t with 1 + step*t > max(root, 2)
+    t_hi = (x - 1) // step
+    for lo in range(t_lo, t_hi + 1, _SEGMENT):
+        size = min(_SEGMENT, t_hi + 1 - lo)  # the segment holds t = lo .. lo+size-1
+        top = 1 + step * (lo + size - 1)
         seg = bytearray([1]) * size
-        for ell in base:
-            if ell * ell >= lo + size:
+        for ell, t in zip(base, first):
+            if ell * ell > top:
                 break
-            start = -lo % ell  # index of the first multiple of ell; lo > ell
+            start = (t - lo) % ell  # 1 + step*(lo+start) > root >= ell, so never ell itself
             seg[start::ell] = bytearray(len(range(start, size, ell)))
-        for i, q in enumerate(moduli):
-            counts[i] += seg[(1 - lo) % q :: q].count(1)
+        for i, stride in enumerate(strides):
+            counts[i] += seg[-lo % stride :: stride].count(1)
     return tuple(counts)
 
 
-def _miller_rabin_witness(n: int, a: int) -> bool:
-    """True if a witnesses the compositeness of odd n > 2."""
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+def _miller_rabin_witness(n: int, a: int, d: int, r: int) -> bool:
+    """True if a witnesses the compositeness of odd n > 2, where
+    n - 1 = d * 2**r with d odd."""
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
@@ -133,8 +159,10 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
 def is_prime(n: int, rng: random.Random | None = None) -> bool:
     """Primality test.
 
-    Deterministic for n < 2**64; for larger n runs the fixed witness set
-    plus 20 random rounds (error probability < 4**-20).
+    Deterministic for n < 2**64, by the fewest of the fixed witnesses that
+    suffice below the next bound of _WITNESS_TIERS; for larger n runs all
+    twelve plus 20 random rounds drawn from rng (error probability
+    < 4**-20).
 
     >>> is_prime(2302381)
     True
@@ -143,20 +171,23 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_WITNESSES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:
         return True
-    for a in _SMALL_WITNESSES:
-        if _miller_rabin_witness(n, a):
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> r
+    k = next((k for bound, k in _WITNESS_TIERS if n < bound), len(_SMALL_WITNESSES))
+    for a in _SMALL_WITNESSES[:k]:
+        if _miller_rabin_witness(n, a, d, r):
             return False
     if n < _DETERMINISTIC_BOUND:
         return True
     rng = rng or random.Random(0xC0FFEE)
     for _ in range(20):
         a = rng.randrange(2, n - 1)
-        if _miller_rabin_witness(n, a):
+        if _miller_rabin_witness(n, a, d, r):
             return False
     return True
 
@@ -165,8 +196,8 @@ def _pollard_rho(n: int, rng: random.Random) -> int | None:
     """A nontrivial factor of composite n (not necessarily prime), or None
     once _RHO_CAP steps y -> y*y + c have found none.
 
-    Brent's cycle-finding variant with batched gcds.  n must be odd,
-    composite, and free of factors below the trial bound.
+    Brent's cycle-finding variant with batched gcds.  n must be composite
+    and free of the primes of the first trial block.
     """
     steps = 0
     while True:
@@ -385,8 +416,8 @@ def _ecm(n: int, rng: random.Random, b1s) -> int:
 
     Each curve takes its stage-1 bound b1 from the iterator b1s, shared by
     every composite of one factorization, and its sigma from rng, and runs
-    stage 2 to _ECM_B2 * b1.  n must be odd, composite, and free of factors
-    below the trial bound.
+    stage 2 to _ECM_B2 * b1.  n must be composite and free of the primes of
+    the first trial block.
     """
     while True:
         b1 = next(b1s)
@@ -412,6 +443,14 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     seed.  The generator is built only when rho runs or a cofactor above
     2**64 is tested for primality.
 
+    Trial division always walks the first block, the primes up to 311.
+    From the next block on it tests each new cofactor below 2**64 once: a
+    prime ends the factorization, and a composite of at least 10**10 goes
+    to rho at once; a smaller composite has a prime factor below the trial
+    bound, and the walk goes on to find it.  A cofactor of 2**64 or more
+    is walked as far as the square of a block's first prime allows, since
+    testing it would draw from the generator.
+
     >>> factorize(2244096)
     [(2, 9), (3, 2), (487, 1)]
     >>> factorize(1)
@@ -428,9 +467,18 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
         return rng
 
     factors: dict[int, int] = {}
-    for product, block in _trial_block_table():
+    tested = 0  # the last cofactor below 2**64 that the walk tested
+    for i, (product, block) in enumerate(_trial_block_table()):
         if block[0] * block[0] > n:
             break  # n has no prime factor below block[0], so it is 1 or prime
+        if i and n < _DETERMINISTIC_BOUND and n != tested:
+            tested = n
+            if is_prime(n):
+                factors[n] = 1
+                n = 1
+                break
+            if n >= _TRIAL_BOUND * _TRIAL_BOUND:
+                break  # rho takes it; below that the walk finds its factors
         g = math.gcd(n, product)
         if g == 1:
             continue
@@ -446,7 +494,8 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     stack = [(n, True)] if n > 1 else []  # (cofactor, whether rho may try it)
     while stack:
         m, rho = stack.pop()
-        if is_prime(m, seeded() if m >= _DETERMINISTIC_BOUND else None):
+        # a cofactor the walk tested and left over is composite
+        if m != tested and is_prime(m, seeded() if m >= _DETERMINISTIC_BOUND else None):
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _pollard_rho(m, seeded()) if rho else None

@@ -1,5 +1,5 @@
-"""Slow, independent routes to character values and Bernoulli sums, for the
-tests.
+"""Slow, independent routes to character values, Bernoulli sums and
+primality, for the tests.
 
 The library moves characters between moduli by exponent arithmetic and sums
 the Bernoulli weights of a conductor by slices over half its units; neither
@@ -8,6 +8,9 @@ Pohlig-Hellman with baby-step giant-step) per value instead, build
 primitive() and lift_to() from single values, and walk every unit with its
 character exponent, one Horner evaluation per unit, as the library did
 before.
+
+They also hold the primality test kzeta ran before its witness sets were
+tiered by size: all twelve witnesses for every n below 2**64.
 """
 
 import math
@@ -122,3 +125,31 @@ def value_buckets(chi, n):
             v = v * a + c
         buckets[t] = buckets.get(t, 0) + v
     return f, big_d, buckets
+
+
+def is_prime_all_witnesses(n):
+    """Miller-Rabin on n < 2**64 with all twelve primes up to 37 as witnesses,
+    which decide every n below 2**64 (Sorenson & Webster)."""
+    if n >= 2**64:
+        raise ValueError("the twelve witnesses decide only n < 2**64")
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in witnesses:
+        return True
+    if any(n % a == 0 for a in witnesses):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

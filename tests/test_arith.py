@@ -2,12 +2,13 @@
 prime-power cyclotomic ring."""
 
 import bisect
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kzeta.arith import (
@@ -33,6 +34,7 @@ from kzeta.arith.factor import (
     _trial_block_table,
     small_primes,
 )
+from oracles import is_prime_all_witnesses
 
 
 def brute_is_prime(n):
@@ -64,6 +66,86 @@ def test_is_prime_known_values():
     assert not is_prime(2**61 + 1)  # divisible by 3
 
 
+# The least strong pseudoprime to the witnesses of each tier of is_prime but
+# the last: the bound of that tier, where the next one, with more witnesses,
+# takes over.
+STRONG_PSEUDOPRIMES = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+
+
+def test_is_prime_rejects_each_tiers_least_strong_pseudoprime():
+    for (bound, k), n in zip(factor._WITNESS_TIERS, STRONG_PSEUDOPRIMES):
+        assert bound == n
+        r = ((n - 1) & (1 - n)).bit_length() - 1
+        d = (n - 1) >> r
+        # the tier's own witnesses let n through, so the tier must end below it
+        assert not any(factor._miller_rabin_witness(n, a, d, r) for a in factor._SMALL_WITNESSES[:k])
+        assert not is_prime(n)
+        assert not is_prime_all_witnesses(n)
+
+
+def _next_prime(n):
+    while not is_prime_all_witnesses(n):
+        n += 1
+    return n
+
+
+@st.composite
+def word_size_numbers(draw):
+    """n < 2**64: uniform, small, near a tier bound, prime, or a product of
+    two primes."""
+    shape = draw(st.sampled_from(["uniform", "small", "tier", "prime", "semiprime"]))
+    if shape == "uniform":
+        return draw(st.integers(0, 2**64 - 1))
+    if shape == "small":
+        return draw(st.integers(0, 10**6))
+    if shape == "tier":
+        bound = draw(st.sampled_from([bound for bound, _ in factor._WITNESS_TIERS]))
+        return bound + draw(st.integers(-1000, -1 if bound == 2**64 else 1000))
+    if shape == "prime":
+        return _next_prime(draw(st.integers(2, 2**64 - 10**4)))
+    return _next_prime(draw(st.integers(2, 2**32 - 10**4))) * _next_prime(draw(st.integers(2, 2**31)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(word_size_numbers())
+@example(2**64 - 59)  # the largest prime below 2**64
+@example(3825123056546413051)
+def test_is_prime_matches_twelve_witnesses_below_2_64(n):
+    assert is_prime(n) == is_prime_all_witnesses(n)
+
+
+class RecordingRandom(random.Random):
+    """A random.Random that records the arguments of each randrange."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def randrange(self, *args):
+        self.calls.append(args)
+        return super().randrange(*args)
+
+
+def test_is_prime_draws_twenty_witnesses_above_2_64():
+    for n in (2**64 + 13, 2**89 - 1):
+        rng = RecordingRandom(5)
+        assert is_prime(n, rng)
+        assert rng.calls == [(2, n - 1)] * 20
+    # a fixed witness exposes this composite before any draw
+    rng = RecordingRandom(5)
+    assert not is_prime((2**64 + 13) * 1000003, rng)
+    assert rng.calls == []
+
+
 def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
@@ -87,21 +169,43 @@ def test_small_primes_are_kept_for_the_process():
 # --- counting sieve against filtering the full sieve ---------------------------
 
 COUNT_X_MAX = 3 * _SEGMENT + 1000
-COUNT_ORACLE_PRIMES = primes_up_to(COUNT_X_MAX)
+# isqrt(1193717) = 1092 = 6 * 182, and 1 + 6 * 182 = 1093 is prime: the first
+# number of the progression 1 (mod 6) above the listed primes is a prime
+ROOT_EDGE_X = 1193717
+COUNT_ORACLE_PRIMES = primes_up_to(ROOT_EDGE_X)
+
+
+@functools.cache
+def _oracle_class(q):
+    return [ell for ell in COUNT_ORACLE_PRIMES if (ell - 1) % q == 0]
 
 
 def count_oracle(x, moduli):
-    ps = COUNT_ORACLE_PRIMES[: bisect.bisect_right(COUNT_ORACLE_PRIMES, x)]
-    return tuple(sum(1 for ell in ps if (ell - 1) % q == 0) for q in moduli)
+    assert x <= ROOT_EDGE_X
+    return tuple(bisect.bisect_right(_oracle_class(q), x) for q in moduli)
 
 
 def full_segments(k):
-    """The x whose numbers above isqrt(x) fill exactly k segments."""
-    x = k * _SEGMENT
+    """The x whose odd numbers above isqrt(x), the progression that the
+    moduli (1, p, p*p) sieve, fill exactly k segments."""
+    x = 2 * k * _SEGMENT
     for _ in range(4):
-        x = k * _SEGMENT + math.isqrt(x)
-    assert x - math.isqrt(x) == k * _SEGMENT
+        x = 2 * ((math.isqrt(x) - 1) // 2 + k * _SEGMENT) + 1
+    assert (x - 1) // 2 - (math.isqrt(x) - 1) // 2 == k * _SEGMENT
     return x
+
+
+def root_edges(p):
+    """x whose isqrt is a multiple r of 2p with r + 1 prime, so that the
+    first number of the progression 1 (mod 2p) above isqrt(x) is a prime."""
+    roots = [r for r in range(2 * p, math.isqrt(COUNT_X_MAX) + 1, 2 * p) if brute_is_prime(r + 1)]
+    return [r * r + d for r in roots[:2] + roots[-2:] for d in (0, r + 1, 2 * r)]
+
+
+def moduli_of(p):
+    # (p, p*p) as browkin_density asks, sieving 1 (mod 2p); with q = 1 the
+    # progression is every odd number, so a prime lost at a segment edge shows
+    return ((p, p * p), (1, p, p * p))
 
 
 COUNT_PRIMES = (3, 5, 7, 11, 13)
@@ -109,24 +213,35 @@ COUNT_PRIMES = (3, 5, 7, 11, 13)
 SQUARE_ROOTS = (2, 3, 5, 7, 11, 13, 509, 521, 719, 727, 883)
 SPECIAL_X = sorted(
     {_SEGMENT + d for d in (-1, 0, 1)}
-    | {2 * _SEGMENT, full_segments(1), full_segments(1) + 1, full_segments(2)}
+    | {2 * _SEGMENT + d for d in (-1, 0, 1)}
+    | {full_segments(1) + d for d in (-1, 0, 1, 2)}
     | {ell * ell + d for ell in SQUARE_ROOTS for d in (-1, 0, 1)}
 )
 
 
 def test_counting_sieve_special_points():
     for p in COUNT_PRIMES:
-        for x in [0, 1, 2, p * p + 1] + SPECIAL_X:
-            # q = 1 counts every prime, so that a prime lost at a segment edge shows
-            moduli = (1, p, p * p)
-            assert _count_primes_one_mod(x, moduli) == count_oracle(x, moduli), (p, x)
+        for x in [0, 1, 2, 3, p * p + 1, ROOT_EDGE_X] + root_edges(p) + SPECIAL_X:
+            for moduli in moduli_of(p):
+                assert _count_primes_one_mod(x, moduli) == count_oracle(x, moduli), (p, x, moduli)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(COUNT_PRIMES), st.integers(0, COUNT_X_MAX))
 def test_counting_sieve_matches_full_sieve(p, x):
-    moduli = (1, p, p * p)
-    assert _count_primes_one_mod(x, moduli) == count_oracle(x, moduli)
+    for moduli in moduli_of(p):
+        assert _count_primes_one_mod(x, moduli) == count_oracle(x, moduli)
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 64])
+def test_counting_sieve_small_segments(monkeypatch, segment):
+    # segments of a few values of t put a segment edge at every small x
+    monkeypatch.setattr(factor, "_SEGMENT", segment)
+    xs = range(0, 400) if segment > 3 else range(0, 400, 7)
+    for p in COUNT_PRIMES:
+        for moduli in moduli_of(p) + ((2, 4), (3, 6)):
+            for x in xs:
+                assert _count_primes_one_mod(x, moduli) == count_oracle(x, moduli), (p, x, moduli)
 
 
 # --- block trial division against plain trial division -------------------------
@@ -176,6 +291,74 @@ def trial_inputs(draw):
 @example(99991**2 * 2)
 def test_factorize_matches_plain_trial_division(n):
     assert factorize(n) == naive_factorize(n)
+
+
+FIRST_BLOCK_END = _trial_block_table()[0][1][-1]  # 311: the walk always divides these out
+MIDDLE_PRIMES = [q for q in small_primes() if q > FIRST_BLOCK_END]
+
+
+@st.composite
+def word_size_composites(draw):
+    """Composites in [10**10, 2**64) of primes between the first trial block
+    and the trial bound, perhaps with one prime of up to 9 digits and a few
+    of the first block."""
+    n = math.prod(draw(st.lists(st.sampled_from(MIDDLE_PRIMES), min_size=2, max_size=4)))
+    if draw(st.booleans()):
+        n *= _next_prime(draw(st.integers(10**5, 10**9)))
+    n *= draw(st.sampled_from([1, 2, 3, 2 * 3 * 5 * 7, FIRST_BLOCK_END]))
+    assume(10**10 <= n < 2**64)
+    return n
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(word_size_composites())
+@example(99991**2 * 3)
+@example(313**5)
+@example(99989**3)
+@example(100003**2 * 313)
+@example(317 * 331 * 99991 * 99989)
+def test_factorize_word_size_composites(n):
+    # the walk leaves composites from 10**10 up to rho, with primes below
+    # the trial bound still in them
+    assert factorize(n) == naive_factorize(n)
+
+
+def test_trial_walk_stops_at_a_settled_word_size_cofactor(monkeypatch):
+    tested, walked = [], []
+
+    def recording(n, rng=None):
+        tested.append(n)
+        return is_prime(n, rng)
+
+    def counting_blocks():
+        for entry in _trial_block_table():
+            walked.append(entry)
+            yield entry
+
+    monkeypatch.setattr(factor, "is_prime", recording)
+    monkeypatch.setattr(factor, "_trial_block_table", counting_blocks)
+    # a prime cofactor is recorded at the second block, and tested once
+    assert factorize(37 * 9999999967) == [(37, 1), (9999999967, 1)]
+    assert len(walked) == 2 and tested == [9999999967]
+    # a composite of at least 10**10 goes to rho there, and is not tested again
+    tested.clear()
+    walked.clear()
+    assert factorize(100019 * 999983) == [(100019, 1), (999983, 1)]
+    assert len(walked) == 2 and sorted(tested) == [100019, 999983, 100019 * 999983]
+
+
+def test_factorize_near_2_64():
+    # trial division to 2**32 is out of reach, so each factorization is
+    # checked by its product and by the twelve witnesses below 2**64;
+    # 2**64 - 1 and 2**64 + 1 (Landry's factor of F6) are known literally
+    for n in range(2**64 - 40, 2**64 + 41):
+        fac = factorize(n)
+        assert math.prod(p**e for p, e in fac) == n
+        assert all(is_prime_all_witnesses(p) if p < 2**64 else is_prime(p) for p, _ in fac)
+    assert factorize(2**64 - 1) == [(3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1),
+                                    (6700417, 1)]
+    assert factorize(2**64 + 1) == [(274177, 1), (67280421310721, 1)]
+    assert factorize(2**64 - 59) == [(2**64 - 59, 1)]
 
 
 def test_factorize_known():
