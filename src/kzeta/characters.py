@@ -16,6 +16,13 @@ units need no unit-by-unit walk: lfun lists the units of each conductor once,
 in mixed-radix order on the generators, and sums by exponent pattern.  No
 character value takes a discrete log; UnitGroupStructure.dlog (Pohlig-Hellman
 with baby-step giant-step) is API.
+
+A field's character group is walked by Galois orbits (FieldSpec.orbits): the
+conjugates chi**a of an exponent tuple x are the tuples a*x mod o_i, so each
+orbit is marked off on plain tuples and only its representative becomes a
+DirichletCharacter.  Degree, conductor, group exponent, the w-invariant and
+the zeta value all read the orbits; FieldSpec.characters expands the
+conjugates for callers that want every character.
 """
 
 from __future__ import annotations
@@ -382,34 +389,80 @@ class FieldSpec:
     @staticmethod
     def explicit(chars) -> "FieldSpec":
         chars = frozenset(chars)
+        if not chars:
+            raise ValueError("explicit character sets must not be empty")
         for chi in chars:
             if not chi.is_primitive():
                 raise ValueError("explicit character sets must be primitive")
             if not chi.is_even:
                 raise ValueError("field spec characters must be even")
-        for chi in chars:
-            if chi.inverse() not in chars:
-                raise ValueError("character set not closed under inversion")
-            for psi in chars:
-                if (chi * psi) not in chars:
+        if not _is_group(chars):
+            # name the first failure in set order, as the full scan over all
+            # products would: a missing inverse before a missing product
+            for chi in chars:
+                if chi.inverse() not in chars:
+                    raise ValueError("character set not closed under inversion")
+                if any(chi * psi not in chars for psi in chars):
                     raise ValueError("character set not closed under products")
         return FieldSpec("explicit", explicit_chars=chars)
 
     @functools.cached_property
-    def characters(self) -> frozenset:
-        """The character group X_F as primitive even characters: those
-        killed by the group exponent of (Z/m)^* (real-cyclotomic), by its
-        p-part (max-p), or by p (prime-cyclic)."""
+    def orbits(self) -> tuple:
+        """The Galois orbits {chi**a : gcd(a, ord chi) = 1} of the nontrivial
+        characters of X_F, as (primitive representative, orbit size
+        phi(ord chi)) pairs in the representatives' sort order, so that the
+        orbits of one conductor come together.
+
+        X_F is the group of even characters killed by the group exponent of
+        (Z/m)^* (real-cyclotomic), by its p-part (max-p), or by p
+        (prime-cyclic).  Its orbits are walked on exponent tuples mod m, and
+        only the representatives are made characters.  An explicit spec's
+        characters are walked on their primitive exponent tuples, one
+        modulus at a time.
+        """
         if self.kind == "explicit":
-            return self.explicit_chars
-        exponent = unit_group(self.m).exponent
+            by_modulus: dict[int, list] = {}
+            for chi in sorted(self.explicit_chars, key=DirichletCharacter.sort_key):
+                by_modulus.setdefault(chi.modulus, []).append(chi)
+            return tuple(
+                (chars[i], size)
+                for chars in by_modulus.values()
+                for i, size in _orbit_walk(
+                    [chi.exponents for chi in chars],
+                    tuple(o for _, o in chars[0].group.generators),
+                )
+            )
+        group = unit_group(self.m)
+        exponent = group.exponent
         if self.kind == "max-p":
             exponent = self.p ** valuation(exponent, self.p)
         elif self.kind == "prime-cyclic":
             exponent = self.p
         elif self.kind != "real-cyclotomic":
             raise ValueError("unknown field spec kind %r" % (self.kind,))
-        return _even_characters_of_exponent(self.m, exponent)
+        tuples = list(_even_exponents(group, exponent))
+        orders = tuple(o for _, o in group.generators)
+        reps = [
+            (DirichletCharacter(group, tuples[i]).primitive(), size)
+            for i, size in _orbit_walk(tuples, orders)
+        ]
+        return tuple(sorted(reps, key=lambda rep: rep[0].sort_key()))
+
+    @functools.cached_property
+    def characters(self) -> frozenset:
+        """The character group X_F as primitive even characters: the trivial
+        one and the conjugates chi**a of each representative in orbits."""
+        if self.kind == "explicit":
+            return self.explicit_chars
+        chars = [trivial_character()]
+        for chi, _ in self.orbits:
+            d, group, exps = chi.order, chi.group, chi.exponents
+            chars += (
+                DirichletCharacter(group, tuple(a * e for e in exps))
+                for a in range(1, d)
+                if math.gcd(a, d) == 1
+            )
+        return frozenset(chars)
 
     def require_totally_real(self) -> None:
         """Raise ValueError if X_F holds an odd character.  Only a hand-built
@@ -423,25 +476,17 @@ class FieldSpec:
 
     @property
     def degree(self) -> int:
-        return len(self.characters)
+        return 1 + sum(size for _, size in self.orbits)
 
     @property
     def conductor(self) -> int:
-        out = 1
-        for chi in self.characters:
-            out = math.lcm(out, chi.conductor)
-        return out
+        return math.lcm(*(chi.conductor for chi, _ in self.orbits))
 
     def group_exponent(self) -> int:
-        out = 1
-        for chi in self.characters:
-            out = math.lcm(out, chi.order)
-        return out
+        return math.lcm(*(chi.order for chi, _ in self.orbits))
 
     def is_p_group(self, p: int) -> bool:
-        return all(
-            chi.order == 1 or _is_p_power(chi.order, p) for chi in self.characters
-        )
+        return all(_is_p_power(chi.order, p) for chi, _ in self.orbits)
 
     def describe(self) -> str:
         if self.kind == "real-cyclotomic":
@@ -459,8 +504,8 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def _even_characters_of_exponent(m: int, exponent: int) -> frozenset:
-    """The primitive characters inducing the even chi mod m with
+def _even_exponents(group: UnitGroupStructure, exponent: int):
+    """The exponent tuples of the even characters chi of the group with
     chi**exponent = 1.
 
     chi**exponent = 1 exactly when each generator exponent e_i is a multiple
@@ -469,21 +514,71 @@ def _even_characters_of_exponent(m: int, exponent: int) -> frozenset:
     (is_even), and only those whose step is odd can make it odd; the first of
     them takes only the multiples of its step whose parity evens out the rest.
     """
-    g = unit_group(m)
-    ranges = [range(0, o, o // math.gcd(o, exponent)) for _, o in g.generators]
-    odd = [i for i, loc in enumerate(g.locals_) if loc.kind != "five" and ranges[i].step % 2]
-    if odd:
-        j, others = odd[0], odd[1:]
-        halves = (ranges[j][::2], ranges[j][1::2])  # even and odd exponents
-        ranges[j] = range(1)
-        exps = (
-            x[:j] + (e,) + x[j + 1 :]
-            for x in itertools.product(*ranges)
-            for e in halves[sum(x[i] for i in others) % 2]
-        )
-    else:
-        exps = itertools.product(*ranges)
-    return frozenset(DirichletCharacter(g, x).primitive() for x in exps)
+    ranges = [range(0, o, o // math.gcd(o, exponent)) for _, o in group.generators]
+    odd = [i for i, loc in enumerate(group.locals_) if loc.kind != "five" and ranges[i].step % 2]
+    if not odd:
+        return itertools.product(*ranges)
+    j, others = odd[0], odd[1:]
+    halves = (ranges[j][::2], ranges[j][1::2])  # even and odd exponents
+    ranges[j] = range(1)
+    return (
+        x[:j] + (e,) + x[j + 1 :]
+        for x in itertools.product(*ranges)
+        for e in halves[sum(x[i] for i in others) % 2]
+    )
+
+
+def _orbit_walk(tuples: list, orders: tuple) -> list[tuple[int, int]]:
+    """(i, phi(d)) for the first tuples[i] of each Galois orbit
+    {a*x mod orders : gcd(a, d) = 1}, d the order of x, of the nonzero
+    exponent tuples x in the list.
+
+    Each orbit is marked off as a whole on plain tuples, one column per
+    generator; raises ValueError if an orbit leaves the list.
+    """
+    left = set(tuples)
+    units: dict[int, list[int]] = {}  # d -> the units mod d
+    out = []
+    for i, x in enumerate(tuples):
+        if x not in left:
+            continue
+        d = math.lcm(*(o // math.gcd(o, e) for e, o in zip(x, orders)))
+        if d == 1:
+            continue
+        if d not in units:
+            units[d] = [a for a in range(1, d) if math.gcd(a, d) == 1]
+        us = units[d]
+        orbit = list(zip(*([a * e % o for a in us] for e, o in zip(x, orders))))
+        if not left.issuperset(orbit):
+            raise ValueError("character group is not closed under Galois action")
+        left.difference_update(orbit)
+        out.append((i, len(us)))
+    return out
+
+
+def _is_group(chars: frozenset) -> bool:
+    """Whether a nonempty set of characters is closed under products.
+
+    The characters that, in sort order, are not yet in the subgroup H
+    generated by those before them form a generating set G of <chars>; each
+    at least doubles H, so there are at most log2 |chars| of them.  If
+    chars * g lies in chars for every g in G, multiplying by g permutes the
+    finite set, so chars * <G> = chars, and chars, a subset of <G> that holds
+    a coset of it, is <G> itself.  That takes |chars| * (|G| + 1) products
+    instead of |chars|**2.
+    """
+    group = {trivial_character()}
+    for g in sorted(chars, key=DirichletCharacter.sort_key):
+        if g in group:
+            continue
+        if any(chi * g not in chars for chi in chars):
+            return False
+        grown, power = set(group), g
+        while power not in group:  # group * <g>, one coset per power of g
+            grown.update(h * power for h in group)
+            power = power * g
+        group = grown
+    return True
 
 
 def ghat_stratum(spec: FieldSpec, p: int, j: int) -> frozenset:

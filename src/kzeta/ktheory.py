@@ -67,7 +67,9 @@ def w_invariant(spec: FieldSpec, j: int) -> int:
     if not isinstance(j, int) or j < 1:
         raise ValueError("j must be an integer >= 1, got %r" % (j,))
     spec.require_totally_real()
-    conductors = collections.Counter(chi.conductor for chi in spec.characters)
+    conductors = collections.Counter({1: 1})  # the trivial character
+    for chi, size in spec.orbits:  # conjugates share a conductor
+        conductors[chi.conductor] += size
     candidates = {2} | {q for q, _ in factorize(math.lcm(*conductors))}
     candidates |= {q for q in primes_up_to(j + 1) if j % (q - 1) == 0}
     out = 1

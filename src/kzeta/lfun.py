@@ -18,10 +18,12 @@ returns B_{n,chi} itself, in Z[zeta_{p^N}] for chi of prime-power order.
 Zeta values, pi-adic valuations and product valuations all go through one
 rational quantity instead: the product of B_{n,chi^a} over a Galois orbit of
 characters of order d, which is N(P(zeta_d)) / (f*D)^phi(d) with
-P(y) = sum_a N_a y^(t_a).  The norm is the product of the Galois conjugates
-sigma_a(P), a in (Z/d)^*, taken in Z[x]/(x^d - 1), where sigma_a permutes the
-coefficients; each product of two elements is one Kronecker-packed integer
-multiply, and the rational integer is read off the result by its trace.
+P(y) = sum_a N_a y^(t_a).  The orbits come from FieldSpec.orbits, one
+representative and the orbit size phi(d) each; no conjugate is built.  The
+norm is the product of the Galois conjugates sigma_a(P), a in (Z/d)^*, taken
+in Z[x]/(x^d - 1), where sigma_a permutes the coefficients; each product of
+two elements is one Kronecker-packed integer multiply, and the rational
+integer is read off the result by its trace.
 Since p is totally ramified in Q(zeta_{p^N}), the valuation at
 pi = 1 - zeta_{p^N} of B_{n,chi}, chi of order p^b, is p^(N-b) times v_p of
 its orbit product.
@@ -117,7 +119,7 @@ def _transversal(f: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
 def _half_weights(f: int, n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """The digits of _transversal(f) and N_a for each of its units a, by
     Horner steps over the whole list.  Orbits come grouped by conductor
-    (_galois_orbits sorts them), so a few entries serve every orbit."""
+    (FieldSpec.orbits is in sort order), so a few entries serve every orbit."""
     digits, units = _transversal(f)
     coeffs = _numerator_coefficients(n, f, _bernoulli_denominator_lcm(n))
     weights = repeat(coeffs[0], len(units))
@@ -337,23 +339,6 @@ def _orbit_bernoulli_product(chi: DirichletCharacter, n: int) -> Fraction:
     return Fraction(_orbit_norm(coeffs, d), (f * big_d) ** unit_group(d).phi)
 
 
-def _galois_orbits(chars):
-    """One representative per Galois orbit {chi^a : gcd(a, ord chi) = 1} of
-    the nontrivial characters, in sort order; raises if an orbit leaves
-    `chars`."""
-    seen: set[DirichletCharacter] = set()
-    for chi in sorted(chars, key=lambda c: c.sort_key()):
-        if chi.is_trivial() or chi in seen:
-            continue
-        d = chi.order
-        orbit = [chi**a for a in range(1, d) if math.gcd(a, d) == 1]
-        for member in orbit:
-            if member not in chars:
-                raise ValueError("character group is not closed under Galois action")
-        seen.update(orbit)
-        yield chi
-
-
 def _orbit_valuation(chi: DirichletCharacter, n: int, p: int) -> int:
     """v_p of the orbit product of B_{n,chi}; raises if it vanishes."""
     value = _orbit_bernoulli_product(chi, n)
@@ -374,9 +359,8 @@ def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
         raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
     spec.require_totally_real()
     value = Fraction(-bernoulli_number(k + 1), k + 1)
-    for chi in _galois_orbits(spec.characters):
-        phi_d = unit_group(chi.order).phi
-        value *= Fraction(-1, k + 1) ** phi_d * _orbit_bernoulli_product(chi, k + 1)
+    for chi, size in spec.orbits:
+        value *= Fraction(-1, k + 1) ** size * _orbit_bernoulli_product(chi, k + 1)
     return value
 
 
@@ -421,5 +405,4 @@ def product_valuation(spec: FieldSpec, p: int, k: int) -> int:
         raise ValueError("need a prime p >= k+2; got p=%r, k=%r" % (p, k))
     if not spec.is_p_group(p):
         raise ValueError("character group is not a %d-group" % (p,))
-    orbits = _galois_orbits(spec.characters)
-    return sum(_orbit_valuation(chi, k + 1, p) for chi in orbits)
+    return sum(_orbit_valuation(chi, k + 1, p) for chi, _ in spec.orbits)

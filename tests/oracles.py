@@ -1,5 +1,5 @@
-"""Slow, independent routes to character values, Bernoulli sums and
-primality, for the tests.
+"""Slow, independent routes to character values, Bernoulli sums, Galois
+orbits, group closure and primality, for the tests.
 
 The library moves characters between moduli by exponent arithmetic and sums
 the Bernoulli weights of a conductor by slices over half its units; neither
@@ -11,6 +11,11 @@ before.
 
 They also hold the primality test kzeta ran before its witness sets were
 tiered by size: all twelve witnesses for every n below 2**64.
+
+The library walks the Galois orbits of a field's characters on exponent
+tuples (FieldSpec.orbits) and tests an explicit character set for closure
+through a generating set.  galois_orbits builds every conjugate chi**a as a
+character instead, and closure_error tries all n**2 products.
 """
 
 import math
@@ -125,6 +130,35 @@ def value_buckets(chi, n):
             v = v * a + c
         buckets[t] = buckets.get(t, 0) + v
     return f, big_d, buckets
+
+
+def galois_orbits(chars):
+    """One representative per Galois orbit {chi^a : gcd(a, ord chi) = 1} of
+    the nontrivial characters, in sort order; raises if an orbit leaves
+    `chars`."""
+    seen = set()
+    for chi in sorted(chars, key=lambda c: c.sort_key()):
+        if chi.is_trivial() or chi in seen:
+            continue
+        d = chi.order
+        orbit = [chi**a for a in range(1, d) if math.gcd(a, d) == 1]
+        for member in orbit:
+            if member not in chars:
+                raise ValueError("character group is not closed under Galois action")
+        seen.update(orbit)
+        yield chi
+
+
+def closure_error(chars):
+    """The first failure of closure met in set order, a missing inverse
+    before a missing product, from all n**2 products; None for a group."""
+    for chi in chars:
+        if chi.inverse() not in chars:
+            return "character set not closed under inversion"
+        for psi in chars:
+            if (chi * psi) not in chars:
+                return "character set not closed under products"
+    return None
 
 
 def is_prime_all_witnesses(n):

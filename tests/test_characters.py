@@ -5,20 +5,21 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kzeta.arith import is_prime
 from kzeta.characters import (
     DirichletCharacter,
     FieldSpec,
-    _even_characters_of_exponent,
+    _even_exponents,
     ghat_stratum,
     trivial_character,
     unit_group,
 )
 
-from oracles import element_from_exponents, evaluate, walk
+from oracles import closure_error, element_from_exponents, evaluate, walk
+from oracles import galois_orbits as oracle_galois_orbits
 from oracles import lift_to as oracle_lift_to
 from oracles import primitive as oracle_primitive
 
@@ -369,12 +370,117 @@ def test_field_characters_match_brute_force(m):
             assert spec.characters == primitives(lambda d: p % d == 0)
 
 
+def brute_force_characters(spec):
+    """X_F from every character mod m: the even ones of the spec's orders,
+    made primitive by the value oracle."""
+    g = unit_group(spec.m)
+    keep = {
+        "real-cyclotomic": lambda d: True,
+        "max-p": lambda d: _is_power_of(d, spec.p),
+        "prime-cyclic": lambda d: spec.p % d == 0,
+    }[spec.kind]
+    return frozenset(
+        oracle_primitive(chi)
+        for chi in (DirichletCharacter(g, exps) for exps in _all_exponent_tuples(g))
+        if keep(chi.order) and evaluate(chi, spec.m - 1) == 0
+    )
+
+
+def orbit_table(reps):
+    """{orbit as a frozenset of (modulus, exponents) keys: orbit size}."""
+    table = {}
+    for chi, size in reps:
+        d = chi.order
+        orbit = frozenset(
+            (psi.modulus, psi.exponents)
+            for psi in (chi**a for a in range(1, d) if math.gcd(a, d) == 1)
+        )
+        assert size == len(orbit) == euler_phi(d)
+        table[orbit] = size
+    return table
+
+
+SMALL_PRIMES = [q for q in range(3, 401) if is_prime(q)]
+ORBIT_SPECS = st.one_of(
+    st.builds(FieldSpec.real_cyclotomic, st.integers(1, 400)),
+    st.builds(FieldSpec.max_p_subextension, st.integers(2, 400), st.sampled_from([3, 5, 7])),
+    st.sampled_from([(q, p) for q in SMALL_PRIMES for p in (3, 5, 7) if q % p == 1]).map(
+        lambda args: FieldSpec.prime_cyclic_subfield(*args)
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ORBIT_SPECS)
+@example(FieldSpec.real_cyclotomic(385))  # three odd primes, 120 characters
+@example(FieldSpec.real_cyclotomic(392))  # 8 * 49: 'minus', 'five' and p**2
+@example(FieldSpec.max_p_subextension(343, 7))  # orders 7, 49 and 343
+def test_orbits_match_oracle(spec):
+    # the tuple walk against chi**a over the characters found by brute force,
+    # for the spec and for an explicit copy of its characters
+    chars = brute_force_characters(spec)
+    oracle = [(chi, euler_phi(chi.order)) for chi in oracle_galois_orbits(chars)]
+    want = orbit_table(oracle)
+    explicit = FieldSpec.explicit(chars)
+    for field in (spec, explicit):
+        assert orbit_table(field.orbits) == want, field.describe()
+        assert field.degree == len(chars)
+        keys = [chi.sort_key() for chi, _ in field.orbits]
+        assert keys == sorted(keys)
+
+
+def test_orbit_walk_refuses_an_open_set():
+    g = unit_group(7)
+    chi = DirichletCharacter(g, (2,))
+    spec = FieldSpec("explicit", explicit_chars=frozenset([trivial_character(), chi]))
+    with pytest.raises(ValueError, match="not closed under Galois action"):
+        spec.orbits
+
+
+def test_orbit_pins_at_85085():
+    spec = FieldSpec.real_cyclotomic(85085)
+    assert len(spec.orbits) == 1359
+    assert spec.degree == 23040
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.builds(FieldSpec.real_cyclotomic, st.integers(3, 120)),
+        st.builds(FieldSpec.max_p_subextension, st.integers(2, 400), st.sampled_from([3, 5])),
+    ),
+    st.integers(3, 60),
+    st.data(),
+)
+def test_explicit_closure_check_matches_full_scan(spec, m2, data):
+    # a group passes; one character taken out or one stray even primitive
+    # character put in fails with the message of the scan over all products
+    chars = spec.characters
+    assert FieldSpec.explicit(chars).characters == chars
+    broken = []
+    if len(chars) > 1:
+        chi = data.draw(st.sampled_from(sorted(chars, key=DirichletCharacter.sort_key)))
+        broken.append(chars - {chi})
+    strays = sorted(FieldSpec.real_cyclotomic(m2).characters - chars, key=DirichletCharacter.sort_key)
+    if strays:
+        broken.append(chars | {data.draw(st.sampled_from(strays))})
+    for bad in broken:
+        message = closure_error(bad)
+        if message is None:  # {1, chi} less chi, or {1} and a quadratic chi
+            assert FieldSpec.explicit(bad).degree == len(bad)
+            continue
+        with pytest.raises(ValueError) as err:
+            FieldSpec.explicit(bad)
+        assert str(err.value) == message
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(MODULI, st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 60]))
 def test_enumerated_characters_are_even(m, exponent):
     # FieldSpec.require_totally_real trusts the constructed kinds to be even,
     # so check chi(-1) = 1 by the value oracle, not by is_even
-    chars = _even_characters_of_exponent(m, exponent)
+    g = unit_group(m)
+    chars = [DirichletCharacter(g, x).primitive() for x in _even_exponents(g, exponent)]
     assert chars
     for chi in chars:
         assert chi.conductor == 1 or evaluate(chi, chi.conductor - 1) == 0, chi
@@ -403,6 +509,8 @@ def test_explicit_field_validation():
     odd = DirichletCharacter(g, (1,)).primitive()
     with pytest.raises(ValueError):
         FieldSpec.explicit([trivial_character(), odd, odd**2, odd**3, odd**4, odd**5])
+    with pytest.raises(ValueError, match="must not be empty"):
+        FieldSpec.explicit([])
 
 
 def test_ghat_stratum():

@@ -125,6 +125,23 @@ def test_w_invariant_walks_no_units(monkeypatch, m):
     assert calls == []
 
 
+def test_k_order_builds_characters_per_orbit(monkeypatch):
+    # the orbits are walked on exponent tuples; only their representatives
+    # become characters (23 orbits against 504 characters at m = 1009)
+    built = []
+    post_init = DirichletCharacter.__post_init__
+
+    def counting_post_init(chi):
+        built.append(chi)
+        post_init(chi)
+
+    monkeypatch.setattr(DirichletCharacter, "__post_init__", counting_post_init)
+    spec = FieldSpec.real_cyclotomic(1009)
+    k_order(spec, 1, factor=False)
+    assert len(spec.orbits) == 23
+    assert len(built) <= len(spec.orbits) + 4
+
+
 @pytest.mark.parametrize(
     "spec",
     [FieldSpec.real_cyclotomic(m) for m in (15, 20, 21, 24, 35, 39, 60)]

@@ -281,7 +281,7 @@ def test_character_arithmetic_takes_no_dlog(monkeypatch, m):
     monkeypatch.setattr(UnitGroupStructure, "dlog", counting_dlog)
     spec = FieldSpec.real_cyclotomic(m)
     assert spec.degree == unit_group(m).phi // 2
-    list(lfun._galois_orbits(spec.characters))
+    spec.orbits
     w_invariant(spec, 2)
     assert calls == []
 
@@ -427,7 +427,7 @@ def test_weights_built_once_per_conductor(monkeypatch):
     lfun._half_weights.cache_clear()
     spec = FieldSpec.real_cyclotomic(4620)
     k_order(spec, 1, factor=False)
-    conductors = [chi.conductor for chi in lfun._galois_orbits(spec.characters)]
+    conductors = [chi.conductor for chi, _ in spec.orbits]
     assert sorted(calls) == sorted(set(conductors))
     assert len(calls) < len(conductors)  # 29 conductors, 95 orbits
 
