@@ -20,10 +20,11 @@ rational quantity instead: the product of B_{n,chi^a} over a Galois orbit of
 characters of order d, which is N(P(zeta_d)) / (f*D)^phi(d) with
 P(y) = sum_a N_a y^(t_a).  The orbits come from FieldSpec.orbits, one
 representative and the orbit size phi(d) each; no conjugate is built.  The
-norm is the product of the Galois conjugates sigma_a(P), a in (Z/d)^*, taken
-in Z[x]/(x^d - 1), where sigma_a permutes the coefficients; each product of
-two elements is one Kronecker-packed integer multiply, and the rational
-integer is read off the result by its trace.
+norm is the product of the Galois conjugates sigma_a(P), a in (Z/d)^*,
+evaluated at x = 2^s modulo M = Phi_d(2^s): sigma_a permutes the
+coefficients, so each conjugate's value is one integer joined from s-bit
+slots, and phi(d) integer multiplies give N mod M.  s is chosen so that the
+Parseval bound |N|^2 <= (d * sum c_i^2 / phi(d))^phi(d) puts N below M/2.
 Since p is totally ramified in Q(zeta_{p^N}), the valuation at
 pi = 1 - zeta_{p^N} of B_{n,chi}, chi of order p^b, is p^(N-b) times v_p of
 its orbit product.
@@ -219,87 +220,65 @@ def l_value_negative(
     return generalized_bernoulli(chi, k + 1, level).scale_rational(Fraction(-1, k + 1))
 
 
-def _conjugate(y: list[int], a: int, d: int) -> list[int]:
-    """sigma_a(y) in Z[x]/(x^d - 1): the coefficient of x^i moves to x^(a*i mod d)."""
-    inv = pow(a, -1, d)
-    return [y[inv * j % d] for j in range(d)]
+def _cyclotomic_value(d: int, y: int) -> int:
+    """The integer Phi_d(y) = prod_q (y^(d/q) - 1)^mu(q) over the squarefree
+    divisors q of d.
 
-
-def _cyclic_mul(x: list[int], y: list[int], d: int) -> list[int]:
-    """x*y in Z[x]/(x^d - 1), by one Kronecker-packed integer product.
-
-    Each coefficient of the product is a sum of d terms x_i*y_j, so it has
-    fewer than bits(d) + bits(max|x|) + bits(max|y|) bits; slots of
-    W >= that + 2 bits, in whole bytes, hold it with room for the half-range
-    offset 2^(W-1) that makes every slot nonnegative.  Reducing mod x^d - 1
-    is reducing the packed integer mod M = 2^(dW) - 1.
+    >>> from kzeta.arith import cyclotomic_polynomial_any
+    >>> all(_cyclotomic_value(d, y) == cyclotomic_polynomial_any(d).evaluate(y)
+    ...     for d in (1, 2, 9, 12, 15, 105) for y in (2, 10, 2**16))
+    True
+    >>> _cyclotomic_value(6, 2**8)  # 256^2 - 256 + 1
+    65281
     """
-    bits = d.bit_length() + max(map(int.bit_length, x)) + max(map(int.bit_length, y))
-    nbytes = (bits + 2 + 7) // 8
-    w = 8 * nbytes
-    half = 1 << (w - 1)
-    offset = int.from_bytes(half.to_bytes(nbytes, "little") * d, "little")
-    z = (_pack(x, half, nbytes) - offset) * (_pack(y, half, nbytes) - offset)
-    mask = (1 << (d * w)) - 1
-    s = (z & mask) + (z >> (d * w)) + offset
-    # s = sum (coefficient + half) * 2^(iW) mod M; that sum lies in [0, M)
-    while s < 0:
-        s += mask
-    while s >= mask:
-        s -= mask
-    data = s.to_bytes(d * nbytes, "little")
-    slots = (data[i : i + nbytes] for i in range(0, d * nbytes, nbytes))
-    return list(map(half.__rsub__, map(int.from_bytes, slots, repeat("little"))))
-
-
-def _pack(x: list[int], half: int, nbytes: int) -> int:
-    """sum (x_i + half) * 2^(8*nbytes*i), for |x_i| < half."""
-    slots = map(int.to_bytes, map(half.__add__, x), repeat(nbytes), repeat("little"))
-    return int.from_bytes(b"".join(slots), "little")
-
-
-def _settle(u: list[int], v: list[int] | None, d: int) -> list[int]:
-    """The product u*v, where None stands for 1."""
-    return u if v is None else _cyclic_mul(u, v, d)
-
-
-def _trace_of_product(u: list[int], v: list[int] | None, d: int) -> int:
-    """Tr_{Q(zeta_d)/Q} of (u*v)(zeta_d), for u, v in Z[x]/(x^d - 1); None is 1.
-
-    Tr(zeta_d^i) is the Ramanujan sum c_d(i) = sum_{e | gcd(i, d)} mu(d/e) e,
-    so Tr(y) = sum_{e | d} mu(d/e) e * (sum of y_i over e | i), and that sum
-    is the constant term of y mod x^e - 1.  For y = u*v it is the dot product
-    of u and v folded mod x^e - 1 with v's exponents negated, so u*v is never
-    formed.
-    """
-    squarefree = [(1, 1)]  # (q, mu(q)) for the squarefree divisors q of d
+    squarefree = [(1, 1)]  # (q, mu(q))
     for p, _ in factorize(d):
         squarefree += [(q * p, -mu) for q, mu in squarefree]
-    trace = 0
+    num = den = 1
     for q, mu in squarefree:
-        e = d // q
-        if v is None:
-            const = sum(u[::e])
+        if mu > 0:
+            num *= y ** (d // q) - 1
         else:
-            ue = [sum(u[r::e]) for r in range(e)] if q > 1 else u
-            ve = [sum(v[r::e]) for r in range(e)] if q > 1 else v
-            const = sum(map(operator.mul, ue, ve[:1] + ve[:0:-1]))
-        trace += mu * e * const
-    return trace
+            den *= y ** (d // q) - 1
+    return num // den
+
+
+def _slot_bits(coeffs: list[int], d: int, phi: int) -> tuple[int, int]:
+    """The slot width s and M = Phi_d(2^s) under which _orbit_norm reads N.
+
+    s is the least multiple of 8 with s >= bits(max|c_i|) + 2, so that every
+    c_i + 2^(s-1) fills one s-bit slot, and with
+    M^2 * phi^phi > 4 * (d * sum c_i^2)^phi; each failed check raises s by 8.
+    That check proves M > 2|N|: by Parseval, |P|^2 summed over all d-th roots
+    of unity is d * sum c_i^2, so by AM-GM over the phi primitive ones
+    |N|^2 <= (d * sum c_i^2 / phi)^phi.
+
+    >>> _slot_bits([1, -1, 0], 3, 2)  # |N| = 3 < Phi_3(2^8) / 2
+    (8, 65793)
+    """
+    s = (max(map(abs, coeffs)).bit_length() + 9) // 8 * 8
+    bound = 4 * (d * sum(map(operator.mul, coeffs, coeffs))) ** phi
+    scale = phi**phi
+    while True:
+        modulus = _cyclotomic_value(d, 1 << s)
+        if modulus * modulus * scale > bound:
+            return s, modulus
+        s += 8
 
 
 def _orbit_norm(coeffs: list[int], d: int) -> int:
     """N_{Q(zeta_d)/Q}(P(zeta_d)) for P(x) = sum_i coeffs[i] x^i, len(coeffs) = d.
 
-    The norm is the product of sigma_a(P) over a in (Z/d)^*, taken in
-    Z[x]/(x^d - 1); sigma_a commutes with the map to Z[zeta_d].  The unit
-    group is the direct product of the cyclic groups <g> of order k of
-    unit_group(d).generators, so the product over each of them in turn
-    replaces y by N(k) = prod_{i<k} sigma_{g^i}(y), built from
-    N(2j) = N(j) * sigma_{g^j}(N(j)) and N(j+1) = y * sigma_g(N(j)) in
-    O(log k) multiplies.  The result is the rational integer N modulo Phi_d,
-    so its trace is phi(d) * N; the last, largest multiply is left to
-    _trace_of_product, which needs only the two factors.
+    In Z[x], prod_{a in (Z/d)^*} sigma_a(P)(x) = N (mod Phi_d(x)), where
+    sigma_a(P) has the coefficient c_(a^-1 j mod d) at x^j.  At x = 2^s that
+    makes N = prod_a sigma_a(P)(2^s) mod M, M = Phi_d(2^s), and _slot_bits
+    picks s with M > 2|N|, so N is the symmetric residue.  Each
+    sigma_a(P)(2^s) is one integer, joined from the s-bit slots of the
+    coefficients (each offset by 2^(s-1) to be nonnegative, the offset taken
+    off the whole), and the slots of the next conjugate are those of the last
+    permuted by one fixed itemgetter per generator of unit_group(d), in
+    mixed-radix order.  M divides 2^(sd) - 1, so the running product is folded
+    mod 2^(sd) - 1 after each multiply and reduced mod M once at the end.
 
     >>> _orbit_norm([1, -1, 0], 3)  # 1 - zeta_3
     3
@@ -311,19 +290,32 @@ def _orbit_norm(coeffs: list[int], d: int) -> int:
     if not any(coeffs):
         return 0
     group = unit_group(d)
-    u, v = list(coeffs), None  # the product so far is u * v
-    for g, k in group.generators:
-        base = _settle(u, v, d)
-        u, v, j = base, None, 1  # u * v = N(j)
-        for bit in bin(k)[3:]:
-            y = _settle(u, v, d)
-            u, v, j = y, _conjugate(y, pow(g, j, d), d), 2 * j
-            if bit == "1":
-                u, v, j = base, _conjugate(_settle(u, v, d), g, d), j + 1
-    norm, rem = divmod(_trace_of_product(u, v, d), group.phi)
-    if rem:
-        raise AssertionError("the trace of an orbit norm is not divisible by phi(%d)" % d)
-    return norm
+    s, modulus = _slot_bits(coeffs, d, group.phi)
+    nbytes, half = s // 8, 1 << (s - 1)
+    slots = tuple(
+        map(int.to_bytes, map(half.__add__, coeffs), repeat(nbytes), repeat("little"))
+    )
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * d, "little")
+    width = s * d
+    mask = (1 << width) - 1
+    steps = [
+        (operator.itemgetter(*[g * j % d for j in range(d)]), k) for g, k in group.generators
+    ]
+    digits = [0] * len(steps)
+    product = 1
+    while True:
+        z = product * (int.from_bytes(b"".join(slots), "little") - offset)
+        product = (z & mask) + (z >> width)
+        for i, (step, k) in enumerate(steps):  # k steps of g bring the slots back
+            slots = step(slots)
+            digits[i] += 1
+            if digits[i] < k:
+                break
+            digits[i] = 0
+        else:
+            break
+    norm = product % modulus
+    return norm - modulus if 2 * norm > modulus else norm
 
 
 def _orbit_bernoulli_product(chi: DirichletCharacter, n: int) -> Fraction:

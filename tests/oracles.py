@@ -16,11 +16,20 @@ The library walks the Galois orbits of a field's characters on exponent
 tuples (FieldSpec.orbits) and tests an explicit character set for closure
 through a generating set.  galois_orbits builds every conjugate chi**a as a
 character instead, and closure_error tries all n**2 products.
+
+The library takes an orbit norm as the product of the Galois conjugates
+sigma_a(P) evaluated at 2^s modulo Phi_d(2^s).  orbit_norm_doubling
+multiplies the conjugates as polynomials in Z[x]/(x^d - 1) by a doubling
+chain and reads the norm off the trace of the result, as the library did
+before.
 """
 
 import math
+import operator
+from itertools import repeat
 
 from kzeta import lfun
+from kzeta.arith import factorize
 from kzeta.characters import DirichletCharacter, unit_group
 
 
@@ -187,3 +196,101 @@ def is_prime_all_witnesses(n):
         else:
             return False
     return True
+
+
+def _conjugate(y, a, d):
+    """sigma_a(y) in Z[x]/(x^d - 1): the coefficient of x^i moves to x^(a*i mod d)."""
+    inv = pow(a, -1, d)
+    return [y[inv * j % d] for j in range(d)]
+
+
+def _pack(x, half, nbytes):
+    """sum (x_i + half) * 2^(8*nbytes*i), for |x_i| < half."""
+    slots = map(int.to_bytes, map(half.__add__, x), repeat(nbytes), repeat("little"))
+    return int.from_bytes(b"".join(slots), "little")
+
+
+def _cyclic_mul(x, y, d):
+    """x*y in Z[x]/(x^d - 1), by one Kronecker-packed integer product.
+
+    Each coefficient of the product is a sum of d terms x_i*y_j, so it has
+    fewer than bits(d) + bits(max|x|) + bits(max|y|) bits; slots of
+    W >= that + 2 bits, in whole bytes, hold it with room for the half-range
+    offset 2^(W-1) that makes every slot nonnegative.  Reducing mod x^d - 1
+    is reducing the packed integer mod M = 2^(dW) - 1.
+    """
+    bits = d.bit_length() + max(map(int.bit_length, x)) + max(map(int.bit_length, y))
+    nbytes = (bits + 2 + 7) // 8
+    w = 8 * nbytes
+    half = 1 << (w - 1)
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * d, "little")
+    z = (_pack(x, half, nbytes) - offset) * (_pack(y, half, nbytes) - offset)
+    mask = (1 << (d * w)) - 1
+    s = (z & mask) + (z >> (d * w)) + offset
+    # s = sum (coefficient + half) * 2^(iW) mod M; that sum lies in [0, M)
+    while s < 0:
+        s += mask
+    while s >= mask:
+        s -= mask
+    data = s.to_bytes(d * nbytes, "little")
+    slots = (data[i : i + nbytes] for i in range(0, d * nbytes, nbytes))
+    return list(map(half.__rsub__, map(int.from_bytes, slots, repeat("little"))))
+
+
+def _settle(u, v, d):
+    """The product u*v, where None stands for 1."""
+    return u if v is None else _cyclic_mul(u, v, d)
+
+
+def _trace_of_product(u, v, d):
+    """Tr_{Q(zeta_d)/Q} of (u*v)(zeta_d), for u, v in Z[x]/(x^d - 1); None is 1.
+
+    Tr(zeta_d^i) is the Ramanujan sum c_d(i) = sum_{e | gcd(i, d)} mu(d/e) e,
+    so Tr(y) = sum_{e | d} mu(d/e) e * (sum of y_i over e | i), and that sum
+    is the constant term of y mod x^e - 1.  For y = u*v it is the dot product
+    of u and v folded mod x^e - 1 with v's exponents negated, so u*v is never
+    formed.
+    """
+    squarefree = [(1, 1)]  # (q, mu(q)) for the squarefree divisors q of d
+    for p, _ in factorize(d):
+        squarefree += [(q * p, -mu) for q, mu in squarefree]
+    trace = 0
+    for q, mu in squarefree:
+        e = d // q
+        if v is None:
+            const = sum(u[::e])
+        else:
+            ue = [sum(u[r::e]) for r in range(e)] if q > 1 else u
+            ve = [sum(v[r::e]) for r in range(e)] if q > 1 else v
+            const = sum(map(operator.mul, ue, ve[:1] + ve[:0:-1]))
+        trace += mu * e * const
+    return trace
+
+
+def orbit_norm_doubling(coeffs, d):
+    """N_{Q(zeta_d)/Q}(P(zeta_d)) for P(x) = sum_i coeffs[i] x^i, len(coeffs) = d,
+    as the product of sigma_a(P) over a in (Z/d)^* in Z[x]/(x^d - 1).
+
+    Each cyclic factor <g> of order k of unit_group(d) replaces y by
+    N(k) = prod_{i<k} sigma_{g^i}(y), built from
+    N(2j) = N(j) * sigma_{g^j}(N(j)) and N(j+1) = y * sigma_g(N(j)) in
+    O(log k) multiplies.  The result is the rational integer N modulo Phi_d,
+    so its trace is phi(d) * N; the last multiply is left to
+    _trace_of_product, which needs only the two factors.
+    """
+    if not any(coeffs):
+        return 0
+    group = unit_group(d)
+    u, v = list(coeffs), None  # the product so far is u * v
+    for g, k in group.generators:
+        base = _settle(u, v, d)
+        u, v, j = base, None, 1  # u * v = N(j)
+        for bit in bin(k)[3:]:
+            y = _settle(u, v, d)
+            u, v, j = y, _conjugate(y, pow(g, j, d), d), 2 * j
+            if bit == "1":
+                u, v, j = base, _conjugate(_settle(u, v, d), g, d), j + 1
+    norm, rem = divmod(_trace_of_product(u, v, d), group.phi)
+    if rem:
+        raise AssertionError("the trace of an orbit norm is not divisible by phi(%d)" % d)
+    return norm

@@ -446,3 +446,24 @@ def test_prime_cyclic_zeta_pins(ell, p, bits, digest):
     assert value.denominator == 3
     text = b"%x/%x" % (value.numerator, value.denominator)
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "m, bits, digest",
+    [
+        (1907, 11476, "5efb1f84f53bc7fb324bd9a24b24794e4e35e6ce4ae6bc47bdd8246026b54c18"),
+        (2003, 12161, "752bbc7ae346918927b462e333230c88160536c6248f389de5284238373be42d"),
+    ],
+)
+def test_large_prime_conductor_order_pins(m, bits, digest):
+    # recorded while the orbit norms were products in Z[x]/(x^d - 1); one
+    # orbit of order d = (m - 1)/2 carries almost all of the order
+    order = k_order(FieldSpec.real_cyclotomic(m), 1, factor=False).order
+    assert order.bit_length() == bits
+    assert hashlib.sha256(b"%x" % order).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["factorize", "resultant", "bernoulli_number"])
+def test_lfun_keeps_the_bindings_the_bench_traces(name):
+    # bench/spans.py replaces these module attributes of lfun to trace a run
+    assert callable(getattr(lfun, name))

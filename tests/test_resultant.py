@@ -1,18 +1,21 @@
 """Differential tests of the multi-modular resultant against the Bareiss
 fraction-free determinant of the Sylvester matrix, kept here as the oracle,
-and of the orbit norms of `lfun` against both."""
+and of the orbit norms of `lfun` against both and against the doubling chain
+of products in Z[x]/(x^d - 1) in `oracles`."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kzeta import lfun
 from kzeta.arith import Poly, cyclotomic_polynomial_any, is_prime, resultant
 from kzeta.arith.poly import _crt_primes
-from kzeta.characters import FieldSpec
+from kzeta.characters import FieldSpec, unit_group
+
+from oracles import orbit_norm_doubling
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 FIRST_CRT_PRIMES = list(itertools.islice(_crt_primes(), 3))
@@ -196,3 +199,75 @@ def test_orbit_norm_vanishes_on_multiples_of_phi(d, q, zero):
     g = Poly() if zero else cyclotomic_polynomial_any(d) * Poly(q)
     assert lfun._orbit_norm(cyclic_reduce(g, d), d) == 0
     assert resultant(cyclotomic_polynomial_any(d), g) == 0
+
+
+def signed_digits(k):
+    """Signed integers of up to k decimal digits, zero and one-digit values often."""
+    return st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**k) + 1, 10**k - 1))
+
+
+thirty_digits = signed_digits(30)
+SEVERAL_GENERATORS = [24, 40, 120, 420, 1001]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(st.sampled_from(SEVERAL_GENERATORS + [1, 2]), st.integers(1, 300)),
+    st.data(),
+)
+def test_orbit_norm_matches_doubling_chain(d, data):
+    # The doubling chain takes 44 s at d = 1001 with 30-digit coefficients
+    # (one 2-vCPU x86 core, CPython 3.11), so coefficients get at most
+    # 1500/phi(d) digits: 30 up to phi(d) = 50, 15 at d = 420, 2 at d = 1001.
+    digits = min(30, max(1, 1500 // unit_group(d).phi))
+    coeffs = data.draw(st.lists(signed_digits(digits), min_size=d, max_size=d))
+    assert lfun._orbit_norm(coeffs, d) == orbit_norm_doubling(coeffs, d)
+
+
+def test_slot_width_retries_until_the_bound_holds(monkeypatch):
+    # 63 fits s = 8, but |N| may reach (300 * 300 * 63**2 / 80)**40, about
+    # 2**885, while Phi_300(2**8) has about 8 * 80 = 640 bits.
+    d, coeffs = 300, [63] * 150 + [-63] * 150
+    tried = []
+    value = lfun._cyclotomic_value
+
+    def recording(d, y):
+        tried.append(y.bit_length() - 1)
+        return value(d, y)
+
+    monkeypatch.setattr(lfun, "_cyclotomic_value", recording)
+    assert lfun._slot_bits(coeffs, d, unit_group(d).phi) == (16, value(d, 2**16))
+    assert tried == [8, 16]
+    assert lfun._orbit_norm(coeffs, d) == orbit_norm_doubling(coeffs, d)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(orbit_degrees, thirty_digits.filter(bool), st.data())
+def test_orbit_norm_of_a_monomial(d, c, data):
+    # N(c * zeta^j) = c^phi * N(zeta)^j, and N(zeta_d) = 1 for d >= 3 (phi even)
+    j = data.draw(st.integers(0, d - 1))
+    coeffs = [0] * d
+    coeffs[j] = c
+    phi = unit_group(d).phi
+    norm = lfun._orbit_norm(coeffs, d)
+    assert abs(norm) == abs(c) ** phi
+    if d >= 3:
+        assert norm == c**phi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(thirty_digits, thirty_digits)
+@example(-(10**40), 0)
+@example(1, 10**40)
+def test_orbit_norm_negative_at_degree_one(c0, c1):
+    # Q(zeta_d) is CM for d >= 3, so its norms are >= 0; only d = 1 and 2,
+    # where N is P(1) or P(-1), can lift to a negative residue
+    assert lfun._orbit_norm([c0], 1) == c0
+    assert lfun._orbit_norm([c0, c1], 2) == c0 - c1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(orbit_degrees.filter(lambda d: d >= 2), thirty_digits.filter(bool))
+def test_orbit_norm_vanishes_with_every_coefficient_equal(d, c):
+    # c * (1 + x + ... + x^(d-1)) vanishes at every d-th root of unity but 1
+    assert lfun._orbit_norm([c] * d, d) == 0
