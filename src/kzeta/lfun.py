@@ -8,10 +8,12 @@ Everything is exact.  For a primitive character chi of conductor f and n >= 2,
 
 where D = lcm(denominator(B_0), ..., denominator(B_n)) and
 N_a = D * sum_i C(n,i) B_i f^i a^(n-i) = D f^n B_n(a/f) is an integer.  The
-weights N_a depend on (f, n) only, so they are computed once per conductor,
-by Horner steps over whole lists, for the units of a transversal of
-(Z/f)^* modulo {1, -1}: the other half follows from N_{f-a} = (-1)^n N_a,
-as B_n(1-x) = (-1)^n B_n(x), and chi(f-a) = chi(-1) chi(a).  Each character
+weights N_a depend on (f, n) only, so they are computed once per conductor:
+tabulated for a <= f/2 by running sums of their constant n-th forward
+difference, mirrored by N_{f-a} = (-1)^n N_a, as B_n(1-x) = (-1)^n B_n(x),
+and gathered at the units of a transversal of (Z/f)^* modulo {1, -1}.  The
+other half of the units follows from the same mirror and
+chi(f-a) = chi(-1) chi(a).  Each character
 then sums the shared weights by slices of its exponent pattern on the
 generators; no unit is visited one at a time.  generalized_bernoulli
 returns B_{n,chi} itself, in Z[zeta_{p^N}] for chi of prime-power order.
@@ -36,7 +38,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, islice, repeat
 
 from .arith import (
     CyclotomicElement,
@@ -75,10 +77,11 @@ def _numerator_coefficients(n: int, f: int, big_d: int) -> list[int]:
     out = []
     fpow = 1
     for i in range(n + 1):
-        c = bernoulli_number(i) * (big_d * math.comb(n, i) * fpow)
-        if c.denominator != 1:
+        b = bernoulli_number(i)
+        scale, rem = divmod(big_d, b.denominator)
+        if rem:
             raise AssertionError("Bernoulli denominator lcm was wrong")
-        out.append(int(c))
+        out.append(scale * b.numerator * math.comb(n, i) * fpow)
         fpow *= f
     return out
 
@@ -111,22 +114,49 @@ def _transversal(f: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
         g, size = group.generators[i][0], len(units)
         while len(units) < r * size:  # units[k*size + x] = units[x] * g**k
             step = pow(g, len(units) // size, f)
-            units += [*map(f.__rmod__, map(step.__mul__, units))]
+            units += [x * step % f for x in units]
         del units[r * size :]
     return tuple(digits), units
 
 
 @functools.lru_cache(maxsize=16)
 def _half_weights(f: int, n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The digits of _transversal(f) and N_a for each of its units a, by
-    Horner steps over the whole list.  Orbits come grouped by conductor
-    (FieldSpec.orbits is in sort order), so a few entries serve every orbit."""
+    """The digits of _transversal(f) and N_a for each of its units a.
+
+    N_a is a polynomial of degree n in a, so its n-th forward difference is
+    constant: N_0, ..., N_{f//2} come from the differences at a = 0 by n
+    running sums, one add per entry per pass.  N_{f-a} = (-1)^n N_a mirrors
+    them onto the other residues, and one itemgetter gathers the units in
+    the transversal's order.  Orbits come grouped by conductor
+    (FieldSpec.orbits is in sort order), so a few entries serve every orbit.
+
+    >>> _half_weights(7, 2)  # D = 6; N_a = 6a^2 - 42a + 49 at a = 1, 3, 2
+    (((0, 3),), (13, -23, -11))
+    >>> _half_weights(7, 3)  # D = 6; N_a = 6a^3 - 63a^2 + 147a at 1, 3, 2
+    (((0, 3),), (90, 36, 90))
+    >>> _half_weights(8, 2), _half_weights(8, 3)  # units 1 and 5
+    ((((1, 2),), (22, -26)), (((1, 2),), (126, -90)))
+    """
     digits, units = _transversal(f)
     coeffs = _numerator_coefficients(n, f, _bernoulli_denominator_lcm(n))
-    weights = repeat(coeffs[0], len(units))
-    for c in coeffs[1:]:
-        weights = map(operator.add, map(operator.mul, weights, units), repeat(c))
-    return digits, tuple(weights)
+    diffs = []  # N_0, ..., N_n by Horner's rule, then their differences at 0
+    for a in range(n + 1):
+        v = 0
+        for c in coeffs:
+            v = v * a + c
+        diffs.append(v)
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    half = max(f // 2, 1)  # f = 1: the one unit is 1
+    table = repeat(diffs[n], max(half + 1 - n, 0))
+    for start in reversed(diffs[:n]):
+        table = accumulate(table, initial=start)
+    table = list(islice(table, half + 1))
+    mirror = table[f - 1 - f // 2 : 0 : -1]  # N_a for a = f//2 + 1, ..., f - 1
+    table += map(operator.neg, mirror) if n % 2 else mirror
+    weights = operator.itemgetter(*units)(table)
+    return digits, weights if len(units) > 1 else (weights,)  # one unit: the entry itself
 
 
 def _value_buckets(chi: DirichletCharacter, n: int) -> tuple[int, int, dict[int, int]]:
@@ -248,22 +278,39 @@ def _slot_bits(coeffs: list[int], d: int, phi: int) -> tuple[int, int]:
 
     s is the least multiple of 8 with s >= bits(max|c_i|) + 2, so that every
     c_i + 2^(s-1) fills one s-bit slot, and with
-    M^2 * phi^phi > 4 * (d * sum c_i^2)^phi; each failed check raises s by 8.
-    That check proves M > 2|N|: by Parseval, |P|^2 summed over all d-th roots
-    of unity is d * sum c_i^2, so by AM-GM over the phi primitive ones
+    M^2 * phi^phi > 4 * (d * sum c_i^2)^phi.  That check proves M > 2|N|:
+    by Parseval, |P|^2 summed over all d-th roots of unity is
+    d * sum c_i^2, so by AM-GM over the phi primitive ones
     |N|^2 <= (d * sum c_i^2 / phi)^phi.
+
+    Phi_d(y) is the product of |y - zeta| over the primitive d-th roots, so
+    (y - 1)^phi <= Phi_d(y) <= (y + 1)^phi.  The least s whose lower bound
+    passes the check surely passes; below s - 8 even the upper bound fails,
+    as 2^(s-16) + 1 < 2^(s-8) - 1.  So only s - 8 and s need M itself.  The
+    bounds are compared in log2, and exactly when the logs fall within a bit
+    of each other.
 
     >>> _slot_bits([1, -1, 0], 3, 2)  # |N| = 3 < Phi_3(2^8) / 2
     (8, 65793)
     """
-    s = (max(map(abs, coeffs)).bit_length() + 9) // 8 * 8
+    least = (max(map(abs, coeffs)).bit_length() + 9) // 8 * 8
     bound = 4 * (d * sum(map(operator.mul, coeffs, coeffs))) ** phi
     scale = phi**phi
-    while True:
-        modulus = _cyclotomic_value(d, 1 << s)
-        if modulus * modulus * scale > bound:
-            return s, modulus
+    excess = math.log2(scale) - math.log2(bound)
+
+    def passes(y: int) -> bool:  # y^(2 phi) * phi^phi > bound
+        gap = 2 * phi * math.log2(y) + excess
+        return gap > 0 if abs(gap) > 1 else y ** (2 * phi) * scale > bound
+
+    # 2^s in place of 2^s - 1 puts this start at most 8 below the least s
+    s = max(least, math.ceil(-excess / (2 * phi) / 8) * 8 - 8)
+    while not passes((1 << s) - 1):
         s += 8
+    if s > least and passes((1 << (s - 8)) + 1):
+        modulus = _cyclotomic_value(d, 1 << (s - 8))
+        if modulus * modulus * scale > bound:
+            return s - 8, modulus
+    return s, _cyclotomic_value(d, 1 << s)
 
 
 def _orbit_norm(coeffs: list[int], d: int) -> int:

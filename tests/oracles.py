@@ -9,6 +9,11 @@ primitive() and lift_to() from single values, and walk every unit with its
 character exponent, one Horner evaluation per unit, as the library did
 before.
 
+The library tabulates the weights N_a of a conductor f for a <= f/2 by
+running sums of their n-th forward difference and gathers them in the
+order of the transversal.  half_weights evaluates N_a by Horner's rule at
+each unit of the transversal instead, as the library did before.
+
 They also hold the primality test kzeta ran before its witness sets were
 tiered by size: all twelve witnesses for every n below 2**64.
 
@@ -21,7 +26,9 @@ The library takes an orbit norm as the product of the Galois conjugates
 sigma_a(P) evaluated at 2^s modulo Phi_d(2^s).  orbit_norm_doubling
 multiplies the conjugates as polynomials in Z[x]/(x^d - 1) by a doubling
 chain and reads the norm off the trace of the result, as the library did
-before.
+before.  The library takes s from the bounds
+(2^s - 1)^phi <= Phi_d(2^s) <= (2^s + 1)^phi; slot_bits_by_retries raises s
+by 8 and evaluates Phi_d(2^s) until the Parseval check passes.
 """
 
 import math
@@ -139,6 +146,17 @@ def value_buckets(chi, n):
             v = v * a + c
         buckets[t] = buckets.get(t, 0) + v
     return f, big_d, buckets
+
+
+def half_weights(f, n):
+    """lfun._half_weights(f, n) by Horner's rule at each unit of the
+    transversal, 2n big-int operations per unit."""
+    digits, units = lfun._transversal(f)
+    coeffs = lfun._numerator_coefficients(n, f, lfun._bernoulli_denominator_lcm(n))
+    weights = repeat(coeffs[0], len(units))
+    for c in coeffs[1:]:
+        weights = map(operator.add, map(operator.mul, weights, units), repeat(c))
+    return digits, tuple(weights)
 
 
 def galois_orbits(chars):
@@ -294,3 +312,17 @@ def orbit_norm_doubling(coeffs, d):
     if rem:
         raise AssertionError("the trace of an orbit norm is not divisible by phi(%d)" % d)
     return norm
+
+
+def slot_bits_by_retries(coeffs, d, phi):
+    """lfun._slot_bits(coeffs, d, phi) by raising s from its least value in
+    steps of 8, evaluating M = Phi_d(2^s) each time, until
+    M^2 * phi^phi > 4 * (d * sum c_i^2)^phi."""
+    s = (max(map(abs, coeffs)).bit_length() + 9) // 8 * 8
+    bound = 4 * (d * sum(map(operator.mul, coeffs, coeffs))) ** phi
+    scale = phi**phi
+    while True:
+        modulus = lfun._cyclotomic_value(d, 1 << s)
+        if modulus * modulus * scale > bound:
+            return s, modulus
+        s += 8

@@ -45,6 +45,7 @@ from kzeta.lfun import (
 from kzeta.powersum import bernoulli_number, bernoulli_polynomial
 
 from oracles import evaluate
+from oracles import half_weights as oracle_half_weights
 from oracles import value_buckets as oracle_value_buckets
 
 
@@ -415,6 +416,28 @@ def test_value_buckets_match_walk(m, n):
             assert lfun._value_buckets(chi, n) == want, (m, chi.exponents, n)
 
 
+# the small conductors, even composites, odd prime powers and primes to 5000
+WEIGHT_CONDUCTORS = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 8]),
+    st.integers(2, 2500).map(lambda k: 2 * k),
+    st.sampled_from([9, 25, 27, 49, 81, 121, 125, 169, 243, 343, 625, 729, 2187, 2401, 3125]),
+    st.integers(3, 5000).filter(is_prime),
+    st.integers(1, 5000),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(WEIGHT_CONDUCTORS, st.integers(2, 12))
+@example(1, 2)  # the one unit 1 lies past f // 2
+@example(2, 3)
+@example(4, 9)  # even f: the mirror starts at f - 1 - f // 2
+@example(2003, 4)
+@example(4999, 6)
+def test_half_weights_match_horner(f, n):
+    # the difference table, mirrored and gathered, gives the Horner values
+    assert lfun._half_weights.__wrapped__(f, n) == oracle_half_weights(f, n)
+
+
 def test_weights_built_once_per_conductor(monkeypatch):
     calls = []
     transversal = lfun._transversal
@@ -446,6 +469,22 @@ def test_prime_cyclic_zeta_pins(ell, p, bits, digest):
     assert value.denominator == 3
     text = b"%x/%x" % (value.numerator, value.denominator)
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "ell, p, bits, digest",
+    [
+        (100003, 3, 42, "7a04a935188ad2ea7eaeca3d1f23c9df76e9aa910820d143c9681ceb0d53db2f"),
+        (100151, 5, 201, "f3a40e8e0c6a2ba9438790906b39b3e89cd11fb41c6d3a0870b58cffdeac9ee8"),
+        (100003, 7, 502, "635e307e8941266290d8bc5d97ddc9debb3354e997ad8fc0ff9bccc8f9dc7846"),
+    ],
+)
+def test_prime_cyclic_order_pins(ell, p, bits, digest):
+    # recorded while the Bernoulli weights were taken one Horner evaluation
+    # per unit of the transversal mod ell
+    order = k_order(FieldSpec.prime_cyclic_subfield(ell, p), p - 2, factor=False).order
+    assert order.bit_length() == bits
+    assert hashlib.sha256(b"%x" % order).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
