@@ -166,17 +166,12 @@ def unit_group(m: int) -> UnitGroupStructure:
     for p, e in factorize(m):
         q = p**e
         if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                locs.append(_LocalGen(2, 4, 3, 2, ((2, 1),), "minus"))
-                gens.append((_crt_lift(3, 4, m), 2))
-                continue
-            locs.append(_LocalGen(2, q, q - 1, 2, ((2, 1),), "minus"))
-            gens.append((_crt_lift(q - 1, q, m), 2))
-            o5 = q // 4
-            locs.append(_LocalGen(2, q, 5, o5, ((2, e - 2),), "five"))
-            gens.append((_crt_lift(5, q, m), o5))
+            if e >= 2:
+                locs.append(_LocalGen(2, q, q - 1, 2, ((2, 1),), "minus"))
+                gens.append((_crt_lift(q - 1, q, m), 2))
+            if e >= 3:
+                locs.append(_LocalGen(2, q, 5, q // 4, ((2, e - 2),), "five"))
+                gens.append((_crt_lift(5, q, m), q // 4))
         else:
             g = _smallest_primitive_root(q, p)
             phi = q // p * (p - 1)
@@ -235,35 +230,20 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """Smallest f | m through which chi factors.
 
-        Computed componentwise: an odd component of order o contributes
-        p**(1 + v_p(o)) (or 1 when trivial); the 2-part contributes 4*ord(chi(5))
-        when chi(5) != 1, else 4 or 1 by chi(-1).
+        Computed componentwise: an odd component of order o > 1 contributes
+        p**(1 + v_p(o)); the 2-part is 4*ord(chi(5)) when chi(5) != 1, else 4
+        or 1 by chi(-1) on the 'minus' component.
         """
-        f = 1
-        i = 0
-        locs = self.group.locals_
-        while i < len(locs):
-            loc = locs[i]
+        f = two = 1
+        for e, loc in zip(self.exponents, self.group.locals_):
+            o = loc.order // math.gcd(loc.order, e)
+            if o == 1:
+                continue
             if loc.kind == "odd":
-                o = loc.order
-                e = self.exponents[i]
-                oc = o // math.gcd(o, e)
-                if oc > 1:
-                    f *= loc.prime ** (1 + valuation(oc, loc.prime))
-                i += 1
-            elif loc.kind == "minus" and i + 1 < len(locs) and locs[i + 1].kind == "five":
-                s, t = self.exponents[i], self.exponents[i + 1]
-                o5 = locs[i + 1].order // math.gcd(locs[i + 1].order, t)
-                if o5 > 1:
-                    f *= 4 * o5
-                elif s % 2 == 1:
-                    f *= 4
-                i += 2
-            else:  # lone 'minus' (modulus divisible by 4, not 8)
-                if self.exponents[i] % 2 == 1:
-                    f *= 4
-                i += 1
-        return f
+                f *= loc.prime ** (1 + valuation(o, loc.prime))
+            else:  # 'minus' has order 2, 'five' order 2**(e-2)
+                two = max(two, 4 if loc.kind == "minus" else 4 * o)
+        return f * two
 
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
@@ -339,6 +319,11 @@ class DirichletCharacter:
         )
 
 
+def _require_odd_prime(p: int) -> None:
+    if not isinstance(p, int) or p < 3 or not is_prime(p):
+        raise ValueError("p must be an odd prime, got %r" % (p,))
+
+
 def trivial_character() -> DirichletCharacter:
     return DirichletCharacter(unit_group(1), ())
 
@@ -372,14 +357,12 @@ class FieldSpec:
     def max_p_subextension(m: int, p: int) -> "FieldSpec":
         if m <= 1:
             raise ValueError("m must be > 1, got %r" % (m,))
-        if p < 3 or not is_prime(p):
-            raise ValueError("p must be an odd prime, got %r" % (p,))
+        _require_odd_prime(p)
         return FieldSpec("max-p", m, p)
 
     @staticmethod
     def prime_cyclic_subfield(ell: int, p: int) -> "FieldSpec":
-        if p < 3 or not is_prime(p):
-            raise ValueError("p must be an odd prime, got %r" % (p,))
+        _require_odd_prime(p)
         if not is_prime(ell):
             raise ValueError("conductor %r is not prime" % (ell,))
         if ell % p != 1:
@@ -486,7 +469,7 @@ class FieldSpec:
         return math.lcm(*(chi.order for chi, _ in self.orbits))
 
     def is_p_group(self, p: int) -> bool:
-        return all(_is_p_power(chi.order, p) for chi, _ in self.orbits)
+        return all(chi.order == p ** valuation(chi.order, p) for chi, _ in self.orbits)
 
     def describe(self) -> str:
         if self.kind == "real-cyclotomic":
@@ -496,12 +479,6 @@ class FieldSpec:
         if self.kind == "prime-cyclic":
             return "degree-%d subfield of Q(zeta_%d)" % (self.p, self.m)
         return "explicit character group (%d characters)" % len(self.explicit_chars)
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _even_exponents(group: UnitGroupStructure, exponent: int):

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
 from .arith.factor import _count_primes_one_mod
-from .characters import FieldSpec
-from .lfun import zeta_value_negative
+from .characters import FieldSpec, _require_odd_prime
+from .lfun import _require_odd_k, zeta_value_negative
 
 
 # Largest sieve cutoff browkin_density accepts.  The count takes time about
@@ -37,16 +37,6 @@ _DENSITY_X_MAX = 10**9
 
 class ComputationError(RuntimeError):
     """An internal exact-arithmetic assertion failed (a bug signal)."""
-
-
-def _require_odd_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
-
-
-def _require_odd_prime(p: int) -> None:
-    if not isinstance(p, int) or p < 3 or not is_prime(p):
-        raise ValueError("p must be an odd prime, got %r" % (p,))
 
 
 def w_invariant(spec: FieldSpec, j: int) -> int:
@@ -229,12 +219,9 @@ def browkin_divisible(p: int, ell: int) -> bool:
     """Whether p divides #K_{2(p-2)} for the degree-p field of conductor ell.
 
     Equivalent to v_p(ell - 1) >= 2; an if-and-only-if, not just a bound.
+    The field's own constructor checks p and ell.
     """
-    _require_odd_prime(p)
-    if not is_prime(ell):
-        raise ValueError("conductor %r is not prime" % (ell,))
-    if ell % p != 1:
-        raise ValueError("need ell = 1 (mod p); got ell=%r, p=%r" % (ell, p))
+    FieldSpec.prime_cyclic_subfield(ell, p)
     return valuation(ell - 1, p) >= 2
 
 
@@ -263,9 +250,7 @@ def divisibility_verdict(p: int, m: int, k: int, variant: str = "plus") -> Verdi
     """
     _require_odd_prime(p)
     _require_odd_k(k)
-    if m <= 1:
-        raise ValueError("m must be > 1, got %r" % (m,))
-    period = degree_adjoin_zeta(variant, m, p)
+    period = degree_adjoin_zeta(variant, m, p)  # checks variant and m
     prof = s_profile(m, p)
     deep = any(j >= 2 for j, count in prof.s if count > 0)
     candidates = [c for c in range(1, p - 1, 2) if (k - c) % period == 0]

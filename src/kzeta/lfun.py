@@ -55,9 +55,17 @@ from .powersum import bernoulli_number
 RATIONAL_LEVEL = CyclotomicLevel(2, 1)  # Q(zeta_2) = Q; carries rational values
 
 
-def _prime_power_base(d: int) -> int | None:
+def _require_odd_k(k: int) -> None:
+    if not isinstance(k, int) or k < 1 or k % 2 == 0:
+        raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
+
+
+def _prime_power(d: int) -> tuple[int, int]:
+    """(p, b) with d = p**b, b >= 1."""
     fs = factorize(d)
-    return fs[0][0] if len(fs) == 1 else None
+    if len(fs) != 1:
+        raise ValueError("character order %d is not a prime power" % (d,))
+    return fs[0]
 
 
 def _require_primitive(chi: DirichletCharacter) -> None:
@@ -223,10 +231,7 @@ def generalized_bernoulli(
     if d == 1:
         lv = RATIONAL_LEVEL if level is None else level
         return CyclotomicRational.from_rational(lv, bernoulli_number(n))
-    p = _prime_power_base(d)
-    if p is None:
-        raise ValueError("character order %d is not a prime power" % (d,))
-    b = valuation(d, p)
+    p, b = _prime_power(d)
     if level is None:
         level = CyclotomicLevel(p, b)
     if level.p != p:
@@ -245,14 +250,13 @@ def l_value_negative(
     chi: DirichletCharacter, k: int, level: CyclotomicLevel | None = None
 ) -> CyclotomicRational:
     """L(chi, -k) = -B_{k+1,chi} / (k+1) for odd k >= 1."""
-    if not isinstance(k, int) or k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
+    _require_odd_k(k)
     return generalized_bernoulli(chi, k + 1, level).scale_rational(Fraction(-1, k + 1))
 
 
 def _cyclotomic_value(d: int, y: int) -> int:
     """The integer Phi_d(y) = prod_q (y^(d/q) - 1)^mu(q) over the squarefree
-    divisors q of d.
+    divisors q of d, whose primes come from the cached unit_group(d).
 
     >>> from kzeta.arith import cyclotomic_polynomial_any
     >>> all(_cyclotomic_value(d, y) == cyclotomic_polynomial_any(d).evaluate(y)
@@ -261,8 +265,11 @@ def _cyclotomic_value(d: int, y: int) -> int:
     >>> _cyclotomic_value(6, 2**8)  # 256^2 - 256 + 1
     65281
     """
+    primes = {loc.prime for loc in unit_group(d).locals_}  # none for 2 when 2 || d
+    if d % 2 == 0:
+        primes.add(2)
     squarefree = [(1, 1)]  # (q, mu(q))
-    for p, _ in factorize(d):
+    for p in primes:
         squarefree += [(q * p, -mu) for q, mu in squarefree]
     num = den = 1
     for q, mu in squarefree:
@@ -394,8 +401,7 @@ def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
     nontrivial characters contributes its rational orbit product of
     L(chi^a, -k) = -B_{k+1,chi^a}/(k+1).
     """
-    if not isinstance(k, int) or k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
+    _require_odd_k(k)
     spec.require_totally_real()
     value = Fraction(-bernoulli_number(k + 1), k + 1)
     for chi, size in spec.orbits:
@@ -413,15 +419,11 @@ def char_bernoulli_pi_valuation(
     b is v_p of the norm, i.e. of the orbit product, and level N multiplies
     it by the ramification index p^(N-b).
     """
-    if not isinstance(k, int) or k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
+    _require_odd_k(k)
     d = chi.order
     if d == 1:
         raise ValueError("trivial character has no distinguished prime")
-    p = _prime_power_base(d)
-    if p is None:
-        raise ValueError("character order %d is not a prime power" % (d,))
-    b = valuation(d, p)
+    p, b = _prime_power(d)
     n_level = b if level_n is None else level_n
     if n_level < b:
         raise ValueError("level %d is below the character level %d" % (n_level, b))
@@ -438,8 +440,7 @@ def product_valuation(spec: FieldSpec, p: int, k: int) -> int:
     """
     if spec.kind not in ("max-p", "prime-cyclic"):
         raise ValueError("field spec must be a p-group subextension variant")
-    if not isinstance(k, int) or k < 1 or k % 2 == 0:
-        raise ValueError("k must be an odd integer >= 1, got %r" % (k,))
+    _require_odd_k(k)
     if not is_prime(p) or p < k + 2:
         raise ValueError("need a prime p >= k+2; got p=%r, k=%r" % (p, k))
     if not spec.is_p_group(p):

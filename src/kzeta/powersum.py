@@ -73,19 +73,23 @@ def powersum_denominator(n: int) -> int:
 
 
 def f_polynomial(n: int) -> Poly:
-    """The unique integer f_n with d_n * S_n(x) = (x - 1) * f_n(x), n >= 1.
-
-    A nonzero remainder in the division would signal an arithmetic bug;
-    it is asserted away rather than silently dropped.
-    """
+    """The unique integer f_n with d_n * S_n(x) = (x - 1) * f_n(x), n >= 1."""
     if n < 1:
         raise ValueError("f_n needs n >= 1, got %r" % (n,))
-    d = powersum_denominator(n)
-    cleared = s_polynomial(n).map_coeffs(lambda c: int(c * d))
-    quotient, remainder = divmod(cleared, Poly((-1, 1)))
+    return _cleared(n, s_polynomial(n))[1]
+
+
+def _cleared(n: int, s: Poly) -> tuple[int, Poly]:
+    """(d_n, f_n) from S_n = s.
+
+    A nonzero remainder in the division by x - 1 would signal an arithmetic
+    bug; it is asserted away rather than silently dropped.
+    """
+    d = s.denominator_lcm()
+    quotient, remainder = divmod(s.map_coeffs(lambda c: int(c * d)), Poly((-1, 1)))
     if not remainder.is_zero():
         raise ArithmeticError("S_%d(1) != 0; power-sum division left %r" % (n, remainder))
-    return quotient
+    return d, quotient
 
 
 def vsc_denominator(n: int) -> int:
@@ -129,14 +133,10 @@ class PowerSumData:
 
 
 def power_sum_data(n: int) -> PowerSumData:
-    """S_n, d_n, f_n and M_n for one n >= 1 in a single pass."""
+    """S_n, d_n, f_n and M_n for one n >= 1, building S_n once."""
     if n < 1:
         raise ValueError("power_sum_data needs n >= 1, got %r" % (n,))
+    s = s_polynomial(n)
+    d, f = _cleared(n, s)
     m = Fraction(n + 2, 2) if n % 2 == 0 else Fraction(n + 2, 3)
-    return PowerSumData(
-        n=n,
-        S=s_polynomial(n),
-        d=powersum_denominator(n),
-        f=f_polynomial(n),
-        M=m,
-    )
+    return PowerSumData(n=n, S=s, d=d, f=f, M=m)

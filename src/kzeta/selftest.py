@@ -12,6 +12,7 @@ statistic.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from .arith import (
@@ -49,6 +50,12 @@ class CheckResult:
 
 def _check(label: str, ok: bool, detail: str = "") -> CheckResult:
     return CheckResult(label, bool(ok), detail)
+
+
+def _summary(label: str, bad: list, ok_detail: str, shown: int | None = None) -> CheckResult:
+    """One check over a list of failures: it passes when bad is empty, and
+    otherwise names the first `shown` of them (all by default)."""
+    return _check(label, not bad, "failures: %r" % (bad[:shown],) if bad else ok_detail)
 
 
 # Reference orders of K_{2k}(Z[zeta_m + zeta_m^-1]): (m, k, order, factorization
@@ -119,13 +126,7 @@ def vsc_checks(max_n: int = 100) -> list[CheckResult]:
             bad.append((n, "squarefree"))
         if any(q > n + 1 for q, _ in factorize(den)):
             bad.append((n, "prime bound"))
-    return [
-        _check(
-            "Bernoulli denominators, even n <= %d" % max_n,
-            not bad,
-            "failures: %r" % (bad[:4],) if bad else "all match",
-        )
-    ]
+    return [_summary("Bernoulli denominators, even n <= %d" % max_n, bad, "all match", 4)]
 
 
 def dn_checks(max_n: int = 100) -> list[CheckResult]:
@@ -146,13 +147,7 @@ def dn_checks(max_n: int = 100) -> list[CheckResult]:
             bad.append((n, "n+1 bound"))
         if is_prime(n + 1) and valuation(d, n + 1) != 1:
             bad.append((n, "exact division"))
-    return [
-        _check(
-            "d_n divisor structure, n <= %d" % max_n,
-            not bad,
-            "failures: %r" % (bad[:4],) if bad else "all match",
-        )
-    ]
+    return [_summary("d_n divisor structure, n <= %d" % max_n, bad, "all match", 4)]
 
 
 def fn_checks(max_n: int = 100) -> list[CheckResult]:
@@ -177,13 +172,7 @@ def fn_checks(max_n: int = 100) -> list[CheckResult]:
         if n + 1 > 2 and is_prime(n + 1):
             if int(at_one) % (n + 1) == 0:
                 bad.append((n, "(n+1) does not divide f_n(1)"))
-    return [
-        _check(
-            "f_n lemmas, n <= %d" % max_n,
-            not bad,
-            "failures: %r" % (bad[:4],) if bad else "all match",
-        )
-    ]
+    return [_summary("f_n lemmas, n <= %d" % max_n, bad, "all match", 4)]
 
 
 def powersum_identity_checks(max_n: int = 60, max_m: int = 50) -> list[CheckResult]:
@@ -193,13 +182,8 @@ def powersum_identity_checks(max_n: int = 60, max_m: int = 50) -> list[CheckResu
         for m in range(1, max_m + 1):
             if poly.evaluate(m) != brute_power_sum(m, n):
                 bad.append((n, m))
-    return [
-        _check(
-            "power-sum identity, n <= %d, m <= %d" % (max_n, max_m),
-            not bad,
-            "failures: %r" % (bad[:4],) if bad else "all equal",
-        )
-    ]
+    label = "power-sum identity, n <= %d, m <= %d" % (max_n, max_m)
+    return [_summary(label, bad, "all equal", 4)]
 
 
 def powersum_suite_checks(max_n: int = 100) -> list[CheckResult]:
@@ -227,134 +211,77 @@ def browkin_smoke_checks(limit: int = 100) -> list[CheckResult]:
             by_order = k_order(spec, p - 2, factor=False).order % p == 0
             if not (by_criterion == by_valuation == by_order):
                 bad.append((p, ell, by_criterion, by_valuation, by_order))
-    return [
-        _check(
-            "divisibility criterion agreement, conductors <= %d" % limit,
-            not bad and count > 0,
-            "failures: %r" % (bad,) if bad else "%d conductors agree" % count,
-        )
-    ]
+    label = "divisibility criterion agreement, conductors <= %d" % limit
+    result = _summary(label, bad, "%d conductors agree" % count)
+    return [result if count else dataclasses.replace(result, ok=False)]  # nothing compared
+
+
+# Lower-bound exponents: (p, k values, m as written, expected exponent, how
+# it is confirmed).  'order' compares v_p of #K_{2k} of Q(zeta_m)^+,
+# 'valuation' bounds the product valuation of the max-p subfield by it, and
+# any other entry is the closed form the exponent sums to.
+_BOUND_ROWS: tuple[tuple[int, tuple[int, ...], str, int, str], ...] = (
+    (3, (1,), "19", 2, "order"),
+    (5, (1,), "11", 1, "order"),
+    (5, (3,), "11", 0, "order"),
+    (7, (3,), "29", 1, "valuation"),
+    (3, (1,), "133", 6, "valuation"),
+    (7, (1, 3), "29*43*71", 57, "1 + 7 + 7^2 = 57"),
+    (5, (1,), "11*31*41*61*71", 781, "1 + 5 + 25 + 125 + 625 = 781"),
+    (7, (1,), "29*43", 8, "valuation"),
+)
 
 
 def bound_checks() -> list[CheckResult]:
-    """Lower-bound exponents against actual orders and product valuations."""
+    """Lower-bound exponents against actual orders, product valuations and
+    closed forms."""
     out = []
-
-    lb = lower_bound_exponent(3, 1, 19)
-    actual = valuation(k_order(FieldSpec.real_cyclotomic(19), 1, factor=False).order, 3)
-    out.append(
-        _check(
-            "bound (p=3, m=19, k=1) meets actual",
-            lb == 2 and actual == 2,
-            "bound %d, v_3 = %d" % (lb, actual),
-        )
-    )
-
-    lb = lower_bound_exponent(5, 1, 11)
-    actual = valuation(k_order(FieldSpec.real_cyclotomic(11), 1, factor=False).order, 5)
-    out.append(
-        _check(
-            "bound (p=5, m=11, k=1) meets actual",
-            lb == 1 and actual == 1,
-            "bound %d, v_5 = %d" % (lb, actual),
-        )
-    )
-
-    lb = lower_bound_exponent(5, 3, 11)
-    actual = valuation(k_order(FieldSpec.real_cyclotomic(11), 3, factor=False).order, 5)
-    out.append(
-        _check(
-            "bound (p=5, m=11, k=3) is 0 and sharp",
-            lb == 0 and actual == 0,
-            "bound %d, v_5 = %d" % (lb, actual),
-        )
-    )
-
-    lb = lower_bound_exponent(7, 3, 29)
-    pv = product_valuation(FieldSpec.max_p_subextension(29, 7), 7, 3)
-    out.append(
-        _check(
-            "bound (p=7, m=29, k=3) via product valuation",
-            lb == 1 and pv >= 1,
-            "bound %d, valuation %s" % (lb, pv),
-        )
-    )
-
-    lb = lower_bound_exponent(3, 1, 133)
-    pv = product_valuation(FieldSpec.max_p_subextension(133, 3), 3, 1)
-    out.append(
-        _check(
-            "bound (p=3, m=133, k=1) via product valuation",
-            lb == 6 and pv >= 6,
-            "bound %d, valuation %s" % (lb, pv),
-        )
-    )
-
-    m3 = 29 * 43 * 71
-    out.append(
-        _check(
-            "closed form (p=7, m=29*43*71) = 57",
-            lower_bound_exponent(7, 1, m3) == 57 and lower_bound_exponent(7, 3, m3) == 57,
-            "1 + 7 + 7^2 = 57",
-        )
-    )
-    m5 = 11 * 31 * 41 * 61 * 71
-    out.append(
-        _check(
-            "closed form (p=5, m=11*31*41*61*71) = 781",
-            lower_bound_exponent(5, 1, m5) == 781,
-            "1 + 5 + 25 + 125 + 625 = 781",
-        )
-    )
-
-    lb = lower_bound_exponent(7, 1, 29 * 43)
-    pv = product_valuation(FieldSpec.max_p_subextension(29 * 43, 7), 7, 1)
-    out.append(
-        _check(
-            "bound (p=7, m=29*43, k=1) via product valuation",
-            lb == 8 and pv >= 8,
-            "bound %d, valuation %s" % (lb, pv),
-        )
-    )
+    for p, ks, m_text, want, confirm in _BOUND_ROWS:
+        m = math.prod(map(int, m_text.split("*")))
+        bounds = [lower_bound_exponent(p, k, m) for k in ks]
+        ok = bounds == [want] * len(ks)
+        label = "bound (p=%d, m=%s, k=%d)" % (p, m_text, ks[0])
+        if confirm == "order":
+            order = k_order(FieldSpec.real_cyclotomic(m), ks[0], factor=False).order
+            actual = valuation(order, p)
+            label += " meets actual" if want else " is 0 and sharp"
+            ok, detail = ok and actual == want, "bound %d, v_%d = %d" % (bounds[0], p, actual)
+        elif confirm == "valuation":
+            pv = product_valuation(FieldSpec.max_p_subextension(m, p), p, ks[0])
+            label += " via product valuation"
+            ok, detail = ok and pv >= want, "bound %d, valuation %s" % (bounds[0], pv)
+        else:
+            label, detail = "closed form (p=%d, m=%s) = %d" % (p, m_text, want), confirm
+        out.append(_check(label, ok, detail))
     return out
+
+
+# Valuation congruences: (p, prime conductors, (level N, least v_pi(B_2))
+# pairs, label) for the order-p characters of the degree-p fields.
+_CONGRUENCE_ROWS: tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...], str], ...] = (
+    (5, (11, 31, 41), ((1, 1),), "order-5 characters, conductors 11/31/41: v_pi(B_2) >= 1"),
+    (
+        3,
+        (19, 37),
+        ((1, 1), (2, 3)),
+        "order-3 characters, conductors 19/37: v_pi >= 1 at level 1, >= 3 at level 2",
+    ),
+)
 
 
 def congruence_checks() -> list[CheckResult]:
     """Valuation congruences for characters of small prime-power order."""
     out = []
-    bad = []
-    for ell in (11, 31, 41):
-        spec = FieldSpec.prime_cyclic_subfield(ell, 5)
-        for chi in spec.sorted_characters():
-            if chi.is_trivial():
-                continue
-            v = char_bernoulli_pi_valuation(chi, 1, 1)
-            if v < 1:
-                bad.append((5, ell, v))
-    out.append(
-        _check(
-            "order-5 characters, conductors 11/31/41: v_pi(B_2) >= 1",
-            not bad,
-            "failures: %r" % (bad,) if bad else "all satisfied",
-        )
-    )
-    bad = []
-    for ell in (19, 37):
-        spec = FieldSpec.prime_cyclic_subfield(ell, 3)
-        for chi in spec.sorted_characters():
-            if chi.is_trivial():
-                continue
-            v1 = char_bernoulli_pi_valuation(chi, 1, 1)
-            v2 = char_bernoulli_pi_valuation(chi, 1, 2)
-            if v1 < 1 or v2 < 3:
-                bad.append((3, ell, v1, v2))
-    out.append(
-        _check(
-            "order-3 characters, conductors 19/37: v_pi >= 1 at level 1, >= 3 at level 2",
-            not bad,
-            "failures: %r" % (bad,) if bad else "all satisfied",
-        )
-    )
+    for p, ells, floors, label in _CONGRUENCE_ROWS:
+        bad = []
+        for ell in ells:
+            for chi in FieldSpec.prime_cyclic_subfield(ell, p).sorted_characters():
+                if chi.is_trivial():
+                    continue
+                vs = [char_bernoulli_pi_valuation(chi, 1, n) for n, _ in floors]
+                if any(v < least for v, (_, least) in zip(vs, floors)):
+                    bad.append((p, ell, *vs))
+        out.append(_summary(label, bad, "all satisfied"))
     return out
 
 

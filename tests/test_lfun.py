@@ -5,16 +5,20 @@ definition-unrolling oracle for B_{n,chi}, and orbit products computed as ring
 element products at one cyclotomic level versus the orbit-norm rational
 recombination."""
 
+import functools
 import hashlib
+import importlib.util
+import inspect
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kzeta import lfun
+from kzeta import ktheory, lfun
 from kzeta.arith import (
     CyclotomicElement,
     CyclotomicLevel,
@@ -502,7 +506,42 @@ def test_large_prime_conductor_order_pins(m, bits, digest):
     assert hashlib.sha256(b"%x" % order).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", ["factorize", "resultant", "bernoulli_number"])
-def test_lfun_keeps_the_bindings_the_bench_traces(name):
-    # bench/spans.py replaces these module attributes of lfun to trace a run
-    assert callable(getattr(lfun, name))
+def _bench_spans():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# bench/spans.py replaces each of its BINDINGS to trace a run and wraps the
+# function FieldSpec.characters caches; bench/test_bench.py reads the cache of
+# cyclotomic_polynomial_any, and bench/workloads.py calls ktheory.is_prime and
+# ktheory.factorize.
+BENCH_NAMES = list(
+    dict.fromkeys(
+        [(owner, attr) for owner, attr, _, _ in _bench_spans().BINDINGS]
+        + [
+            (FieldSpec, "characters"),
+            (cyclotomic_polynomial_any, "cache_info"),
+            (ktheory, "is_prime"),
+            (ktheory, "factorize"),
+        ]
+    )
+)
+
+
+def _binding_id(binding):
+    owner, attr = binding
+    if owner is lfun:
+        return attr
+    return "%s.%s" % (owner.__name__.removeprefix("kzeta."), attr)
+
+
+@pytest.mark.parametrize("owner, attr", BENCH_NAMES, ids=map(_binding_id, BENCH_NAMES))
+def test_lfun_keeps_the_bindings_the_bench_traces(owner, attr):
+    binding = inspect.getattr_static(owner, attr)
+    if owner is FieldSpec:
+        assert isinstance(binding, functools.cached_property)
+        binding = binding.func
+    assert callable(binding)

@@ -183,3 +183,11 @@ def test_unit_group_generators_are_pinned():
     assert digest.hexdigest() == (
         "29f40b956caf3d4b01c3c0800105ecdb7dcf62696d4658d327649742a25a576d"
     )
+
+
+@pytest.mark.parametrize("make", [FieldSpec.max_p_subextension, FieldSpec.prime_cyclic_subfield])
+def test_field_specs_refuse_a_non_integer_prime(make):
+    # the constructors share ktheory's odd-prime check, which tests the type too
+    with pytest.raises(ValueError) as raised:
+        make(7, 3.0)
+    assert str(raised.value) == ODD_P % 3.0
