@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: integers, rationals, polynomials, the
-prime-power cyclotomic ring, and integer factorization.
+values in prime-power cyclotomic fields, and integer factorization.
 
 Integers are Python int, rationals are fractions.Fraction (always reduced,
 positive denominator); both are re-used as-is rather than wrapped.
@@ -17,7 +17,6 @@ from .cyclo import (
     CyclotomicElement,
     CyclotomicLevel,
     CyclotomicRational,
-    galois_apply,
     rational_part,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "cyclotomic_polynomial_any",
     "factorization_string",
     "factorize",
-    "galois_apply",
     "is_prime",
     "primes_up_to",
     "rational_part",

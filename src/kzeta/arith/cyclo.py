@@ -1,11 +1,11 @@
-"""Exact arithmetic in Z[zeta] for zeta a primitive p**n-th root of unity.
+"""Values in Q(zeta) for zeta a primitive p**n-th root of unity.
 
 Elements are dense integer coefficient vectors on the power basis
-1, zeta, ..., zeta**(phi(p**n)-1) at a fixed level (p, n).  Levels never mix
-implicitly: operands at different levels raise.  This ring carries the
-values B_{n,chi} that `lfun.generalized_bernoulli` returns; norms and
-pi-adic valuations are not taken here but in `lfun`, as rational products
-over Galois orbits of characters.
+1, zeta, ..., zeta**(phi(p**n)-1) at a fixed level (p, n).  This is the
+value type `lfun.generalized_bernoulli` returns: `CyclotomicElement.make`
+reduces any exponent, and `CyclotomicRational.make` is canonical, so equal
+values compare equal.  There is no ring arithmetic here; norms and pi-adic
+valuations are taken in `lfun`, as rational products over Galois orbits.
 """
 
 from __future__ import annotations
@@ -77,18 +77,8 @@ class CyclotomicElement:
         return CyclotomicElement(level, _reduce(level, coeffs))
 
     @staticmethod
-    def zero(level: CyclotomicLevel) -> "CyclotomicElement":
-        return CyclotomicElement(level, (0,) * level.degree)
-
-    @staticmethod
     def integer(level: CyclotomicLevel, c: int) -> "CyclotomicElement":
         return CyclotomicElement(level, (c,) + (0,) * (level.degree - 1))
-
-    @staticmethod
-    def zeta_power(level: CyclotomicLevel, e: int) -> "CyclotomicElement":
-        """zeta**e, reduced to the power basis."""
-        e %= level.modulus
-        return CyclotomicElement.make(level, [0] * e + [1])
 
     def __post_init__(self):
         if len(self.coeffs) != self.level.degree:
@@ -97,70 +87,14 @@ class CyclotomicElement:
                 % (len(self.coeffs), self.level.degree)
             )
 
-    def _check_level(self, other: "CyclotomicElement"):
-        if self.level != other.level:
-            raise ValueError(
-                "cyclotomic level mismatch: %r vs %r" % (self.level, other.level)
-            )
-
-    def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check_level(other)
-        return CyclotomicElement(
-            self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check_level(other)
-        return CyclotomicElement(
-            self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.level, tuple(-a for a in self.coeffs))
-
     def scale(self, c: int) -> "CyclotomicElement":
         return CyclotomicElement(self.level, tuple(c * a for a in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check_level(other)
-        n = self.level.degree
-        out = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return CyclotomicElement.make(self.level, out)
-
-    def __pow__(self, e: int) -> "CyclotomicElement":
-        if e < 0:
-            raise ValueError("negative powers leave the ring")
-        result = CyclotomicElement.integer(self.level, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-
-def galois_apply(x: CyclotomicElement, a: int) -> CyclotomicElement:
-    """The automorphism zeta |-> zeta**a for gcd(a, p) = 1."""
-    mod = x.level.modulus
-    if math.gcd(a, x.level.p) != 1:
-        raise ValueError("galois index %r not coprime to %d" % (a, x.level.p))
-    out = [0] * mod
-    for e, c in enumerate(x.coeffs):
-        if c:
-            out[(e * a) % mod] += c
-    return CyclotomicElement.make(x.level, out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,7 +113,7 @@ class CyclotomicRational:
         if denominator == 0:
             raise ZeroDivisionError("zero denominator")
         if denominator < 0:
-            numerator, denominator = -numerator, -denominator
+            numerator, denominator = numerator.scale(-1), -denominator
         content = 0
         for c in numerator.coeffs:
             content = math.gcd(content, c)
@@ -200,25 +134,6 @@ class CyclotomicRational:
     @property
     def level(self) -> CyclotomicLevel:
         return self.numerator.level
-
-    def __add__(self, other: "CyclotomicRational") -> "CyclotomicRational":
-        return CyclotomicRational.make(
-            self.numerator.scale(other.denominator)
-            + other.numerator.scale(self.denominator),
-            self.denominator * other.denominator,
-        )
-
-    def __neg__(self) -> "CyclotomicRational":
-        return CyclotomicRational(-self.numerator, self.denominator)
-
-    def __sub__(self, other: "CyclotomicRational") -> "CyclotomicRational":
-        return self + (-other)
-
-    def __mul__(self, other: "CyclotomicRational") -> "CyclotomicRational":
-        return CyclotomicRational.make(
-            self.numerator * other.numerator,
-            self.denominator * other.denominator,
-        )
 
     def scale_rational(self, q: Fraction) -> "CyclotomicRational":
         return CyclotomicRational.make(

@@ -78,13 +78,13 @@ def _dlog_cyclic(
     return rem % mods if mods > 1 else 0
 
 
-def _smallest_primitive_root(q: int, p: int) -> int:
-    """Smallest primitive root modulo the odd prime power q = p**e."""
+def _smallest_primitive_root(q: int, p: int, phi_factors: list[tuple[int, int]]) -> int:
+    """Smallest primitive root modulo the odd prime power q = p**e, given the
+    factorization of phi(q)."""
     phi = q // p * (p - 1)
-    prime_factors = [r for r, _ in factorize(phi)]
     g = 2
     while True:
-        if g % p != 0 and all(pow(g, phi // r, q) != 1 for r in prime_factors):
+        if g % p != 0 and all(pow(g, phi // r, q) != 1 for r, _ in phi_factors):
             return g
         g += 1
 
@@ -173,9 +173,10 @@ def unit_group(m: int) -> UnitGroupStructure:
                 locs.append(_LocalGen(2, q, 5, q // 4, ((2, e - 2),), "five"))
                 gens.append((_crt_lift(5, q, m), q // 4))
         else:
-            g = _smallest_primitive_root(q, p)
             phi = q // p * (p - 1)
-            locs.append(_LocalGen(p, q, g, phi, tuple(factorize(phi)), "odd"))
+            phi_factors = factorize(phi)
+            g = _smallest_primitive_root(q, p, phi_factors)
+            locs.append(_LocalGen(p, q, g, phi, tuple(phi_factors), "odd"))
             gens.append((_crt_lift(g, q, m), phi))
     return UnitGroupStructure(m, tuple(gens), tuple(locs))
 
@@ -324,6 +325,11 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError("p must be an odd prime, got %r" % (p,))
 
 
+def _require_m_above_one(m: int) -> None:
+    if m <= 1:
+        raise ValueError("m must be > 1, got %r" % (m,))
+
+
 def trivial_character() -> DirichletCharacter:
     return DirichletCharacter(unit_group(1), ())
 
@@ -355,8 +361,7 @@ class FieldSpec:
 
     @staticmethod
     def max_p_subextension(m: int, p: int) -> "FieldSpec":
-        if m <= 1:
-            raise ValueError("m must be > 1, got %r" % (m,))
+        _require_m_above_one(m)
         _require_odd_prime(p)
         return FieldSpec("max-p", m, p)
 

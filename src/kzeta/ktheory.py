@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .arith import factorize, is_prime, primes_up_to, valuation
 from .arith.factor import _count_primes_one_mod
-from .characters import FieldSpec, _require_odd_prime
+from .characters import FieldSpec, _require_m_above_one, _require_odd_prime
 from .lfun import _require_odd_k, zeta_value_negative
 
 
@@ -142,8 +142,7 @@ class SProfile:
 def s_profile(m: int, p: int) -> SProfile:
     """Count the prime divisors of m by the p-valuation of ell - 1."""
     _require_odd_prime(p)
-    if m <= 1:
-        raise ValueError("m must be > 1, got %r" % (m,))
+    _require_m_above_one(m)
     counts: dict[int, int] = {}
     for ell, _ in factorize(m):
         if ell % p == 1:
@@ -208,8 +207,7 @@ def degree_adjoin_zeta(variant: str, m: int, p: int) -> int:
     if variant not in ("plus", "full"):
         raise ValueError("variant must be 'plus' or 'full', got %r" % (variant,))
     _require_odd_prime(p)
-    if m <= 1:
-        raise ValueError("m must be > 1, got %r" % (m,))
+    _require_m_above_one(m)
     if m % p != 0:
         return p - 1
     return 2 if variant == "plus" else 1

@@ -68,6 +68,11 @@ def _prime_power(d: int) -> tuple[int, int]:
     return fs[0]
 
 
+def _require_level_at_least(n: int, b: int) -> None:
+    if n < b:
+        raise ValueError("level %d is below the character level %d" % (n, b))
+
+
 def _require_primitive(chi: DirichletCharacter) -> None:
     if not chi.is_primitive():
         raise ValueError(
@@ -167,7 +172,7 @@ def _half_weights(f: int, n: int) -> tuple[tuple[tuple[int, int], ...], tuple[in
     return digits, weights if len(units) > 1 else (weights,)  # one unit: the entry itself
 
 
-def _value_buckets(chi: DirichletCharacter, n: int) -> tuple[int, int, dict[int, int]]:
+def _value_buckets(chi: DirichletCharacter, n: int) -> tuple[int, int, list[int]]:
     """Sum the integer weights N_a by the character exponent t of a, where
     chi(a) = zeta_ord^t; chi must be primitive.
 
@@ -182,7 +187,8 @@ def _value_buckets(chi: DirichletCharacter, n: int) -> tuple[int, int, dict[int,
     chi(-a) = zeta_ord^shift chi(a), with shift = 0 for even chi and ord/2
     for odd chi: full[t] = half[t] + (-1)^n half[t - shift].
 
-    Returns (f, D, {t: sum of N_a over a with chi(a) = zeta_ord^t}).
+    Returns (f, D, buckets) with buckets[t] the sum of N_a over a with
+    chi(a) = zeta_ord^t, for t in range(ord).
     """
     _require_primitive(chi)
     f, d = chi.conductor, chi.order
@@ -208,10 +214,10 @@ def _value_buckets(chi: DirichletCharacter, n: int) -> tuple[int, int, dict[int,
         for j in range(min(period, size)):
             half[(c + j * s0) % d] += sum(block[j::period])
     if f == 1:  # one unit, nothing to pair it with
-        return f, big_d, {0: half[0]}
+        return f, big_d, half
     shift = 0 if chi.is_even else d // 2
     sign = -1 if n % 2 else 1
-    return f, big_d, {t: half[t] + sign * half[(t - shift) % d] for t in range(d)}
+    return f, big_d, [half[t] + sign * half[t - shift] for t in range(d)]
 
 
 def generalized_bernoulli(
@@ -236,13 +242,10 @@ def generalized_bernoulli(
         level = CyclotomicLevel(p, b)
     if level.p != p:
         raise ValueError("level prime %d does not match character order %d" % (level.p, d))
-    if level.n < b:
-        raise ValueError("level %d is below the character level %d" % (level.n, b))
+    _require_level_at_least(level.n, b)
     f, big_d, buckets = _value_buckets(chi, n)
-    scale = p ** (level.n - b)
     raw = [0] * level.modulus
-    for t, s in buckets.items():
-        raw[t * scale] += s
+    raw[:: p ** (level.n - b)] = buckets
     return CyclotomicRational.make(CyclotomicElement.make(level, raw), f * big_d)
 
 
@@ -379,10 +382,7 @@ def _orbit_bernoulli_product(chi: DirichletCharacter, n: int) -> Fraction:
     """
     d = chi.order
     f, big_d, buckets = _value_buckets(chi, n)
-    coeffs = [0] * d
-    for t, s in buckets.items():
-        coeffs[t] += s
-    return Fraction(_orbit_norm(coeffs, d), (f * big_d) ** unit_group(d).phi)
+    return Fraction(_orbit_norm(buckets, d), (f * big_d) ** unit_group(d).phi)
 
 
 def _orbit_valuation(chi: DirichletCharacter, n: int, p: int) -> int:
@@ -425,8 +425,7 @@ def char_bernoulli_pi_valuation(
         raise ValueError("trivial character has no distinguished prime")
     p, b = _prime_power(d)
     n_level = b if level_n is None else level_n
-    if n_level < b:
-        raise ValueError("level %d is below the character level %d" % (n_level, b))
+    _require_level_at_least(n_level, b)
     _require_primitive(chi)
     return p ** (n_level - b) * _orbit_valuation(chi, k + 1, p)
 

@@ -132,19 +132,19 @@ def walk(chi):
 
 
 def value_buckets(chi, n):
-    """(f, D, {t: sum of N_a over the units a in [1, f] with chi(a) =
-    zeta_{order}**t}) for primitive chi, by walking every unit and
-    evaluating N_a = sum_i c_i a**(n-i) by Horner's rule."""
+    """(f, D, buckets) for primitive chi, buckets[t] the sum of N_a over the
+    units a in [1, f] with chi(a) = zeta_{order}**t, by walking every unit
+    and evaluating N_a = sum_i c_i a**(n-i) by Horner's rule."""
     f = chi.conductor
     big_d = lfun._bernoulli_denominator_lcm(n)
     coeffs = lfun._numerator_coefficients(n, f, big_d)
-    buckets = {}
+    buckets = [0] * chi.order
     for a, t in walk(chi):
         a = a or f  # the walk mod 1 yields the residue 0
         v = 0
         for c in coeffs:
             v = v * a + c
-        buckets[t] = buckets.get(t, 0) + v
+        buckets[t] += v
     return f, big_d, buckets
 
 
