@@ -90,9 +90,6 @@ class CyclotomicElement:
     def scale(self, c: int) -> "CyclotomicElement":
         return CyclotomicElement(self.level, tuple(c * a for a in self.coeffs))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
@@ -139,9 +136,6 @@ class CyclotomicRational:
         return CyclotomicRational.make(
             self.numerator.scale(q.numerator), self.denominator * q.denominator
         )
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
 
 
 def rational_part(x: CyclotomicRational) -> Fraction:

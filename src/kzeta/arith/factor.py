@@ -16,13 +16,16 @@ of cheap curves comes first, then curves with stage-1 bound 10**5.  Rho and
 every curve draw their parameters from one generator seeded by the caller,
 so a seed fixes the work done; the factorization does not depend on it.
 Primes = 1 (mod q) up to x are counted by a segmented sieve of the odd
-numbers = 1 (mod q) alone, in memory O(sqrt(x)) and time about x/q."""
+numbers = 1 (mod q) alone, in memory O(sqrt(x)) and time about x/q.  The
+survivors of each segment are counted by zlib's Adler-32 checksum, whose low
+16 bits are 1 plus the byte sum (RFC 1950), rather than byte by byte."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+import zlib
 
 # Deterministic Miller-Rabin witnesses for n < 2**64 (Sorenson & Webster).
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -45,6 +48,9 @@ _WITNESS_TIERS = (
 _TRIAL_BOUND = 100_000
 _TRIAL_BLOCK = 64  # small primes per gcd in trial division
 _SEGMENT = 1 << 18  # terms of the progression per segment of the counting sieve
+# Bytes per Adler-32 sum in _count_ones: 1 + 65519 is below the modulus
+# 65521, so the sum of a run of 0 and 1 bytes never wraps.
+_ADLER_RUN = 65519
 _RHO_CAP = 1 << 13  # steps of Brent's rho per composite before ECM takes it
 # ECM: a pretest of _ECM_PRETEST curves whose stage-1 bound B1 grows from
 # _ECM_B1 by _ECM_GROWTH per curve (to 673), then every curve at the trial
@@ -101,6 +107,25 @@ def primes_up_to(x: int) -> list[int]:
     return list(itertools.compress(range(x + 1), sieve))
 
 
+def _count_ones(buf) -> int:
+    """The number of 1 bytes in buf, a buffer of 0 and 1 bytes.
+
+    The low 16 bits of zlib.adler32 of a run are 1 plus its byte sum mod
+    65521; each run of at most _ADLER_RUN bytes sums below that.  CPython's
+    bytearray.count(1) branches on each byte: on a sieve segment of 2**18
+    bytes, a fifth of them ones, it took 0.86 ms and this 0.13 ms on a
+    shared 2-vCPU host.
+
+    >>> _count_ones(bytearray([1, 0, 1]) * 50000)
+    100000
+    """
+    with memoryview(buf) as view:
+        return sum(
+            (zlib.adler32(view[i : i + _ADLER_RUN]) & 0xFFFF) - 1
+            for i in range(0, len(view), _ADLER_RUN)
+        )
+
+
 def _count_primes_one_mod(x: int, moduli: tuple[int, ...]) -> tuple[int, ...]:
     """For each q in moduli, the number of primes ell <= x with ell = 1 (mod q).
 
@@ -110,9 +135,10 @@ def _count_primes_one_mod(x: int, moduli: tuple[int, ...]) -> tuple[int, ...]:
     1 + s*t for some t.  The primes up to isqrt(x) (and 2) are listed and
     counted directly.  The later numbers 1 + s*t lie in bytearray segments
     of at most _SEGMENT values of t, in which each listed prime ell prime to
-    s crosses off the t = -1/s (mod ell), and each q counts a slice of
-    stride q/gcd(q, s).  No list of the primes up to x is built, so memory
-    stays O(sqrt(x)), and the time grows as x/s.
+    s crosses off the t = -1/s (mod ell), and each q counts the survivors in
+    a slice of stride q/gcd(q, s) with _count_ones; stride 1 counts the
+    segment itself, without a copy.  No list of the primes up to x is
+    built, so memory stays O(sqrt(x)), and the time grows as x/s.
 
     >>> _count_primes_one_mod(100, (1, 3, 9))
     (25, 11, 3)
@@ -139,7 +165,7 @@ def _count_primes_one_mod(x: int, moduli: tuple[int, ...]) -> tuple[int, ...]:
             start = (t - lo) % ell  # 1 + step*(lo+start) > root >= ell, so never ell itself
             seg[start::ell] = bytearray(len(range(start, size, ell)))
         for i, stride in enumerate(strides):
-            counts[i] += seg[-lo % stride :: stride].count(1)
+            counts[i] += _count_ones(seg if stride == 1 else seg[-lo % stride :: stride])
     return tuple(counts)
 
 

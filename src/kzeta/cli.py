@@ -361,6 +361,11 @@ def main(argv=None) -> int:
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)
         return 2
+    # Records print exact integers of any size; CPython refuses to turn an
+    # int of more than 4300 digits into a str unless the limit is lifted.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except ComputationError as exc:
@@ -369,6 +374,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -30,8 +30,8 @@ from .lfun import _require_odd_k, zeta_value_negative
 
 
 # Largest sieve cutoff browkin_density accepts.  The count takes time about
-# linear in x/p: at 10**9, 2.2 s for p = 3 and 0.55 s for p = 11 on a shared
-# 2-vCPU host.
+# linear in x/p: at 10**9, 1.4 s for p = 3 and 0.41 s for p = 11 on a shared
+# 2-vCPU host (medians of three processes).
 _DENSITY_X_MAX = 10**9
 
 

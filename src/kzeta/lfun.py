@@ -46,6 +46,7 @@ from .arith import (
     CyclotomicRational,
     factorize,
     is_prime,
+    primes_up_to,
     resultant,  # not called here; bench/spans.py traces this binding
     valuation,
 )
@@ -82,7 +83,17 @@ def _require_primitive(chi: DirichletCharacter) -> None:
 
 
 def _bernoulli_denominator_lcm(n: int) -> int:
-    return math.lcm(*(bernoulli_number(i).denominator for i in range(n + 1)))
+    """The lcm of the denominators of B_0, ..., B_n, read off without them.
+
+    By von Staudt-Clausen the denominator of B_i, i >= 2 even, is the
+    product of the primes ell with ell - 1 | i, and B_1 = -1/2.  So the lcm
+    is squarefree, and its primes are those ell <= n + 1: take i = ell - 1,
+    or i = 1 for ell = 2.
+
+    >>> _bernoulli_denominator_lcm(6)
+    210
+    """
+    return math.prod(primes_up_to(n + 1))
 
 
 def _numerator_coefficients(n: int, f: int, big_d: int) -> list[int]:

@@ -29,6 +29,7 @@ from kzeta.arith import factor
 from kzeta.arith.factor import (
     _SEGMENT,
     _TRIAL_BLOCK,
+    _count_ones,
     _count_primes_one_mod,
     _trial_block_table,
     small_primes,
@@ -241,6 +242,43 @@ def test_counting_sieve_small_segments(monkeypatch, segment):
         for moduli in moduli_of(p) + ((2, 4), (3, 6)):
             for x in xs:
                 assert _count_primes_one_mod(x, moduli) == count_oracle(x, moduli), (p, x, moduli)
+
+
+# --- the survivor count of the sieve against bytes.count ---------------------------
+
+# The longest run whose count of ones, plus 1, stays below Adler-32's modulus 65521.
+ADLER_RUN = 65_519
+
+
+@st.composite
+def zero_one_buffers(draw):
+    """A buffer of 0 and 1 bytes, as the sieve hands to _count_ones: a
+    bytearray, a memoryview of one, or a strided copy of one."""
+    n = draw(st.integers(0, 3 * ADLER_RUN + 7))
+    ones = draw(st.integers(0, 256))  # a byte is 1 with chance ones/256
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    buf = bytearray(rng.randbytes(n).translate(bytes(int(b < ones) for b in range(256))))
+    form = draw(st.sampled_from(("bytearray", "memoryview", "strided")))
+    if form == "memoryview":
+        return memoryview(buf)
+    if form == "strided":
+        stride = draw(st.integers(2, 169))
+        return buf[draw(st.integers(0, stride - 1)) :: stride]
+    return buf
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(zero_one_buffers())
+def test_count_ones_matches_count(buf):
+    assert _count_ones(buf) == bytes(buf).count(1)
+
+
+# lengths about one and two runs, and the empty and one-byte buffers
+@pytest.mark.parametrize("n", [0, 1, 65_518, 65_519, 65_520, 131_038, 131_039, 131_040])
+def test_count_ones_at_run_edges(n):
+    # all ones is the largest sum a run can have
+    assert _count_ones(bytearray([1]) * n) == n
+    assert _count_ones((bytearray([1, 0]) * n)[:n]) == (n + 1) // 2
 
 
 # --- block trial division against plain trial division -------------------------
@@ -635,8 +673,8 @@ def test_element_reduction():
     lv5 = CyclotomicLevel(5, 1)
     assert CyclotomicElement.make(lv5, [0] * 5 + [1]).coeffs == (1, 0, 0, 0)
     # 1 + zeta + ... + zeta**4 = 0, and 1 + zeta_9**3 + zeta_9**6 = 0
-    assert CyclotomicElement.make(lv5, [1] * 5).is_zero()
-    assert CyclotomicElement.make(CyclotomicLevel(3, 2), [1, 0, 0, 1, 0, 0, 1]).is_zero()
+    assert CyclotomicElement.make(lv5, [1] * 5).coeffs == (0,) * 4
+    assert CyclotomicElement.make(CyclotomicLevel(3, 2), [1, 0, 0, 1, 0, 0, 1]).coeffs == (0,) * 6
 
 
 def test_ramified_prime_factorization():
@@ -688,7 +726,7 @@ def test_cyclotomic_rational_make_is_canonical(numerator, c, den):
 @given(CYCLO_LEVELS, NONZERO)
 def test_cyclotomic_rational_zero_has_denominator_one(level, den):
     zero = CyclotomicRational.make(CyclotomicElement.make(level, []), den)
-    assert zero.is_zero()
+    assert not any(zero.numerator.coeffs)
     assert zero.denominator == 1
     assert zero == CyclotomicRational.from_rational(level, Fraction(0))
 
@@ -701,7 +739,7 @@ def test_cyclotomic_rational_arithmetic_tracks_fractions():
         qb = Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
         a = CyclotomicRational.from_rational(lv, qa)
         assert rational_part(a) == qa
-        assert a.is_zero() == (qa == 0)
+        assert any(a.numerator.coeffs) == (qa != 0)
         assert a.scale_rational(qb) == CyclotomicRational.from_rational(lv, qa * qb)
         assert rational_part(a.scale_rational(qb)) == qa * qb
 

@@ -2,7 +2,9 @@
 codes."""
 
 import json
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -225,6 +227,21 @@ def test_density_refuses_huge_x_at_once(capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error: x must be at most")
     assert "Traceback" not in err
+
+
+def test_record_above_the_int_str_limit(capsys, monkeypatch):
+    # CPython refuses str() of an int of more than 4300 digits by default;
+    # the command must still print its exact record and leave the limit be
+    # (Python 3.10 before 3.10.7 has no limit and no getter)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    numerator = 10**5000 + 1
+    monkeypatch.setattr(cli, "bernoulli_number", lambda n: Fraction(numerator, 6))
+    before = limit()
+    code, out, err = run(capsys, "bernoulli", "--n", "4", "--json")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["result"]["value"] == "1" + "0" * 4999 + "1/6"
+    assert limit() == before
 
 
 def test_unknown_subcommand_exits_2(capsys):

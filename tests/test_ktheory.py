@@ -451,5 +451,21 @@ def test_browkin_density():
         browkin_density(3, 10**9 + 1)
 
 
+# (n_p, n_p2) at x = 10**7, 2 to 7 segments of the counting sieve
+DENSITY_PINS_1E7 = {
+    3: (332194, 110772),
+    5: (166104, 33155),
+    7: (110653, 15836),
+    11: (66386, 6045),
+    13: (55376, 4241),
+}
+
+
+@pytest.mark.parametrize("p", sorted(DENSITY_PINS_1E7))
+def test_browkin_density_pins_at_1e7(p):
+    rep = browkin_density(p, 10**7)
+    assert (rep.n_p, rep.n_p2) == DENSITY_PINS_1E7[p]
+
+
 def test_computation_error_is_runtime_error():
     assert issubclass(ComputationError, RuntimeError)

@@ -105,6 +105,14 @@ def test_trivial_character_gives_bernoulli_numbers():
     assert rational_part(lifted) == Fraction(-1, 30)
 
 
+def test_bernoulli_denominator_lcm_is_von_staudt_clausen():
+    # the product of the primes up to n + 1 against the Fractions themselves
+    lcm = 1
+    for n in range(301):
+        lcm = math.lcm(lcm, bernoulli_number(n).denominator)
+        assert lfun._bernoulli_denominator_lcm(n) == lcm, n
+
+
 def test_generalized_bernoulli_against_expansion():
     for f in (5, 7, 8, 9, 11, 16):
         for chi in all_primitive_prime_power_chars(f):
@@ -121,7 +129,7 @@ def test_parity_vanishing():
         for chi in all_primitive_prime_power_chars(f):
             for n in (2, 3, 4, 5):
                 value = generalized_bernoulli(chi, n)
-                vanishes = value.is_zero()
+                vanishes = not any(value.numerator.coeffs)
                 mismatch = chi.is_even != (n % 2 == 0)
                 assert vanishes == mismatch, (f, chi.exponents, n)
 
