@@ -5,6 +5,9 @@ Every subcommand accepts --json (one canonical line on stdout) and --out PATH
 reduced "num/den" rationals, and integers as plain digit strings, so identical
 inputs give byte-identical output.  Exit codes: 0 success, 1 internal
 computational assertion, 2 usage error.
+
+Each cmd_* handler returns its result, provenance and human lines; `main`
+alone builds the record, prints it or the lines, and writes --out.
 """
 
 from __future__ import annotations
@@ -14,13 +17,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import (
-    CyclotomicLevel,
-    factorization_string,
-    factorize,
-    rational_part,
-    valuation,
-)
+from .arith import CyclotomicLevel, factorization_string, rational_part, valuation
 from .characters import DirichletCharacter, FieldSpec, unit_group
 from .ktheory import (
     ComputationError,
@@ -31,7 +28,7 @@ from .ktheory import (
     lower_bound_exponent,
     s_profile,
 )
-from .lfun import generalized_bernoulli
+from .lfun import _prime_power, generalized_bernoulli
 from .powersum import bernoulli_number, powersum_denominator
 from .selftest import run_selftest
 
@@ -47,28 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def _record(command: str, inputs: dict, result, provenance=()) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "provenance": list(provenance),
-    }
-
-
-def _emit(args, record: dict, human_lines: list[str]) -> None:
-    canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    if getattr(args, "json", False):
-        print(canonical)
-    else:
-        for line in human_lines:
-            print(line)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(canonical + "\n")
 
 
 def _resolve_field(m: int, subfield: str | None) -> FieldSpec:
@@ -88,7 +63,7 @@ def _resolve_field(m: int, subfield: str | None) -> FieldSpec:
     raise _UsageError("unknown subfield variant %r" % (kind,))
 
 
-def cmd_korder(args) -> int:
+def cmd_korder(args):
     spec = _resolve_field(args.m, args.subfield)
     report = k_order(spec, args.k, seed=args.seed)
     fac = factorization_string(report.factorization)
@@ -100,8 +75,6 @@ def cmd_korder(args) -> int:
         "w_invariant": report.w_invariant,
         "zeta_value": _fraction_str(report.zeta_value),
     }
-    inputs = {"m": args.m, "k": args.k, "subfield": args.subfield, "seed": args.seed}
-    rec = _record("korder", inputs, result, ["order-formula"])
     human = [
         "field: %s (degree %d)" % (spec.describe(), spec.degree),
         "K_%d order: %d" % (2 * args.k, report.order),
@@ -109,19 +82,16 @@ def cmd_korder(args) -> int:
         "w_%d: %d" % (args.k + 1, report.w_invariant),
         "zeta_F(-%d): %s" % (args.k, _fraction_str(report.zeta_value)),
     ]
-    _emit(args, rec, human)
-    return 0
+    return result, ["order-formula"], human
 
 
-def cmd_verdict(args) -> int:
+def cmd_verdict(args):
     verdict = divisibility_verdict(args.p, args.m, args.k, args.field)
     result = {
         "status": verdict.status,
         "exponent_lower_bound": verdict.exponent_lower_bound,
         "justification": list(verdict.justification),
     }
-    inputs = {"p": args.p, "m": args.m, "k": args.k, "field": args.field}
-    rec = _record("verdict", inputs, result, verdict.justification)
     human = ["verdict: %s" % verdict.status]
     if verdict.exponent_lower_bound is not None:
         human.append(
@@ -130,20 +100,15 @@ def cmd_verdict(args) -> int:
         )
     if verdict.justification:
         human.append("justification: %s" % ", ".join(verdict.justification))
-    _emit(args, rec, human)
-    return 0
+    return result, verdict.justification, human
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
+    """Also returns the exit code: 1 when a check failed."""
     results = run_selftest(args.level, seed=args.seed)
     passed = sum(1 for r in results if r.ok)
     failed = len(results) - passed
     checks = [{"label": r.label, "ok": r.ok, "detail": r.detail} for r in results]
-    rec = _record(
-        "selftest",
-        {"level": args.level, "seed": args.seed},
-        {"passed": passed, "failed": failed, "checks": checks},
-    )
     human = []
     for r in results:
         mark = "PASS" if r.ok else "FAIL"
@@ -152,46 +117,43 @@ def cmd_selftest(args) -> int:
             line += " :: %s" % r.detail
         human.append(line)
     human.append("%d passed, %d failed" % (passed, failed))
-    _emit(args, rec, human)
-    return 0 if failed == 0 else 1
+    result = {"passed": passed, "failed": failed, "checks": checks}
+    return result, [], human, 0 if failed == 0 else 1
 
 
-def cmd_bernoulli(args) -> int:
+def cmd_bernoulli(args):
     value = bernoulli_number(args.n)
-    rec = _record(
-        "bernoulli", {"n": args.n}, {"value": _fraction_str(value)}
-    )
-    _emit(args, rec, ["B_%d = %s" % (args.n, value)])
-    return 0
+    return {"value": _fraction_str(value)}, [], ["B_%d = %s" % (args.n, value)]
 
 
-def cmd_dn(args) -> int:
+def cmd_dn(args):
     value = powersum_denominator(args.n)
-    rec = _record("dn", {"n": args.n}, {"value": value})
-    _emit(args, rec, ["d_%d = %d" % (args.n, value)])
-    return 0
+    return {"value": value}, [], ["d_%d = %d" % (args.n, value)]
 
 
-def cmd_genbernoulli(args) -> int:
+def cmd_genbernoulli(args):
     group = unit_group(args.m)
     if args.exponents:
         try:
-            exps = tuple(int(t) for t in args.exponents.split(","))
+            exps = [int(t) for t in args.exponents.split(",")]
         except ValueError:
             raise _UsageError("--exponents must be a comma-separated integer list")
+        if len(exps) != len(group.generators):
+            raise _UsageError(
+                "--exponents takes one entry per generator of (Z/%dZ)^*: %s"
+                % (args.m, ", ".join("%d of order %d" % g for g in group.generators) or "none")
+            )
     else:
-        exps = (0,) * len(group.generators)
-    chi = DirichletCharacter(group, exps).primitive()
+        exps = [0] * len(group.generators)
+    args.exponents = exps  # the record keeps the resolved vector
+    chi = DirichletCharacter(group, tuple(exps)).primitive()
     level = None
     if args.level is not None:
         if chi.order == 1:
             raise _UsageError("--level is meaningless for the trivial character")
-        p = factorize(chi.order)[0][0]
-        level = CyclotomicLevel(p, args.level)
+        level = CyclotomicLevel(_prime_power(chi.order)[0], args.level)
     value = generalized_bernoulli(chi, args.n, level)
-    rational = None
-    if value.numerator.is_rational():
-        rational = _fraction_str(rational_part(value))
+    rational = _fraction_str(rational_part(value)) if value.numerator.is_rational() else None
     result = {
         "conductor": chi.conductor,
         "order": chi.order,
@@ -200,13 +162,6 @@ def cmd_genbernoulli(args) -> int:
         "denominator": value.denominator,
         "rational": rational,
     }
-    inputs = {
-        "m": args.m,
-        "exponents": list(exps),
-        "n": args.n,
-        "level": args.level,
-    }
-    rec = _record("genbernoulli", inputs, result)
     human = [
         "character: modulus %d, conductor %d, order %d"
         % (args.m, chi.conductor, chi.order),
@@ -219,11 +174,10 @@ def cmd_genbernoulli(args) -> int:
             "B_%d(chi) = (1/%d) * sum of c_i zeta^i with c = %s"
             % (args.n, value.denominator, list(value.numerator.coeffs))
         )
-    _emit(args, rec, human)
-    return 0
+    return result, [], human
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     bound = lower_bound_exponent(args.p, args.k, args.m)
     prof = s_profile(args.m, args.p)
     result = {
@@ -231,50 +185,39 @@ def cmd_bound(args) -> int:
         "s_profile": [list(pair) for pair in prof.s],
         "theta": prof.theta,
     }
-    inputs = {"p": args.p, "k": args.k, "m": args.m}
-    rec = _record("bound", inputs, result, ["bernoulli-product-lower-bound"])
     human = [
         "s-profile of m=%d at p=%d: %s (theta = %d)"
         % (args.m, args.p, dict(prof.s) or "{}", prof.theta),
         "guaranteed exponent: %d^%d divides #K_%d" % (args.p, bound, 2 * args.k),
     ]
-    _emit(args, rec, human)
-    return 0
+    return result, ["bernoulli-product-lower-bound"], human
 
 
-def cmd_browkin(args) -> int:
+def cmd_browkin(args):
     divisible = browkin_divisible(args.p, args.ell)
-    rec = _record(
-        "browkin",
-        {"p": args.p, "ell": args.ell},
-        {"divisible": divisible, "valuation": valuation(args.ell - 1, args.p)},
-        ["prime-conductor-criterion"],
-    )
+    v = valuation(args.ell - 1, args.p)
     human = [
-        "v_%d(%d - 1) = %d" % (args.p, args.ell, valuation(args.ell - 1, args.p)),
+        "v_%d(%d - 1) = %d" % (args.p, args.ell, v),
         "%d divides #K_%d of the degree-%d field of conductor %d: %s"
         % (args.p, 2 * (args.p - 2), args.p, args.ell, "yes" if divisible else "no"),
     ]
-    _emit(args, rec, human)
-    return 0
+    return {"divisible": divisible, "valuation": v}, ["prime-conductor-criterion"], human
 
 
-def cmd_density(args) -> int:
+def cmd_density(args):
     rep = browkin_density(args.p, args.x)
     result = {
         "n_p": rep.n_p,
         "n_p2": rep.n_p2,
         "ratio": _fraction_str(rep.ratio),
     }
-    rec = _record("density", {"p": args.p, "x": args.x}, result)
     human = [
         "primes <= %d that are 1 mod %d: %d" % (args.x, args.p, rep.n_p),
         "primes <= %d that are 1 mod %d: %d" % (args.x, args.p**2, rep.n_p2),
         "ratio: %s (compare 1/%d = %s)"
         % (rep.ratio, args.p, Fraction(1, args.p)),
     ]
-    _emit(args, rec, human)
-    return 0
+    return result, [], human
 
 
 def _build_parser() -> _Parser:
@@ -286,10 +229,11 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one canonical JSON line")
     common.add_argument("--out", metavar="PATH", help="also write the canonical record to PATH")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized factoring internals")
-    sub = parser.add_subparsers(dest="command")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="seed for randomized factoring internals")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("korder", parents=[common], help="exact order of K_2k")
+    p = sub.add_parser("korder", parents=[common, seeded], help="exact order of K_2k")
     p.add_argument("--m", type=int, required=True, help="cyclotomic conductor")
     p.add_argument("--k", type=int, required=True, help="odd index k in K_2k")
     p.add_argument(
@@ -307,7 +251,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--field", choices=("plus", "full"), default="plus")
     p.set_defaults(handler=cmd_verdict)
 
-    p = sub.add_parser("selftest", parents=[common], help="run the built-in verification checks")
+    p = sub.add_parser("selftest", parents=[common, seeded], help="run the built-in verification checks")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.set_defaults(handler=cmd_selftest)
 
@@ -349,6 +293,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Parsed options that are not inputs of the computation.
+_NOT_INPUTS = ("command", "handler", "json", "out")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -358,16 +306,20 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
-    if not hasattr(args, "handler"):
-        parser.print_usage(sys.stderr)
-        return 2
     # Records print exact integers of any size; CPython refuses to turn an
     # int of more than 4300 digits into a str unless the limit is lifted.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        result, provenance, human, *code = args.handler(args)
+        record = {
+            "command": args.command,
+            "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
+            "result": result,
+            "provenance": list(provenance),
+        }
+        canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
     except ComputationError as exc:
         print("computation error: %s" % (exc,), file=sys.stderr)
         return 1
@@ -377,11 +329,12 @@ def main(argv=None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    print(canonical if args.json else "\n".join(human))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(canonical + "\n")
+    return code[0] if code else 0
 
 
 def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

@@ -1,12 +1,16 @@
 """Tests for the command line interface: subcommands, JSON records, exit
 codes."""
 
+import contextlib
+import io
 import json
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kzeta.cli as cli
 import kzeta.ktheory as ktheory
@@ -164,6 +168,18 @@ def test_genbernoulli_usage_errors(capsys):
     assert code == 2
 
 
+def test_genbernoulli_names_the_generators(capsys):
+    code, out, err = run(capsys, "genbernoulli", "--m", "21", "--exponents", "1", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --exponents takes one entry per generator of (Z/21Z)^*: "
+        "8 of order 2, 10 of order 6\n"
+    )
+    code, _, err = run(capsys, "genbernoulli", "--m", "7", "--exponents", "1,2", "--n", "2")
+    assert code == 2
+    assert err.endswith("(Z/7Z)^*: 3 of order 6\n")
+
+
 def test_bound(capsys):
     rec = run_json(capsys, "bound", "--p", "7", "--k", "1", "--m", "1247")
     assert rec["result"]["bound"] == 8
@@ -274,3 +290,105 @@ def test_selftest_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert "[FAIL] forced" in out
+
+
+# One small valid argument vector per subcommand.
+MINIMAL = {
+    "korder": ["--m", "7", "--k", "1"],
+    "verdict": ["--p", "5", "--m", "11", "--k", "3"],
+    "selftest": [],
+    "bernoulli": ["--n", "4"],
+    "dn": ["--n", "4"],
+    "genbernoulli": ["--m", "5", "--exponents", "2", "--n", "2"],
+    "bound": ["--p", "7", "--k", "1", "--m", "29"],
+    "browkin": ["--p", "5", "--ell", "101"],
+    "density": ["--p", "3", "--x", "100"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL))
+def test_seed_only_where_it_is_read(command, capsys):
+    code, out, err = run(capsys, command, *MINIMAL[command], "--seed", "5", "--json")
+    if command in ("korder", "selftest"):
+        assert code == 0, err
+        assert json.loads(out)["inputs"]["seed"] == 5
+    else:
+        assert code == 2
+        assert err == "error: unrecognized arguments: --seed 5\n"
+
+
+# Option values for the fuzz test below; None leaves the option out.  Valid
+# korder input stays in the range of the selftest table, m <= 31, and at
+# k <= 3: the order's factorization has no budget yet, and
+# `korder --m 43 --k 5` (a 134-digit order) does not finish in 120 s, nor
+# `--m 31 --k 9` in 60 s.
+P_VALUES = st.one_of(st.sampled_from([3, 5, 7, 11, 13]), st.integers(-3, 40))
+K_VALUES = st.one_of(st.sampled_from([1, 3, 5]), st.integers(-3, 41))
+FUZZ_OPTIONS = {
+    "korder": {
+        "--m": st.one_of(st.sampled_from([7, 11, 31]), st.integers(-1, 31)),
+        "--k": st.one_of(st.sampled_from([1, 3]), st.integers(-3, 3)),
+        "--subfield": st.one_of(
+            st.none(), st.sampled_from(["max-p:3", "prime-cyclic:5", "max-p", "bogus:3", "max-p:x"])
+        ),
+    },
+    "verdict": {
+        "--p": P_VALUES,
+        "--m": st.integers(-5, 10**6),
+        "--k": K_VALUES,
+        "--field": st.sampled_from([None, "plus", "full", "imaginary"]),
+    },
+    "selftest": {"--level": st.sampled_from([None, "quick", "bogus"])},
+    "bernoulli": {"--n": st.integers(-3, 300)},
+    "dn": {"--n": st.integers(-3, 60)},
+    "genbernoulli": {
+        "--m": st.integers(-3, 60),
+        "--exponents": st.lists(st.integers(-3, 12), max_size=3).map(
+            lambda es: ",".join(map(str, es))
+        ),
+        "--n": st.integers(-3, 20),
+        "--level": st.one_of(st.none(), st.integers(-2, 3)),
+    },
+    "bound": {"--p": P_VALUES, "--k": K_VALUES, "--m": st.integers(-5, 10**6)},
+    "browkin": {
+        "--p": P_VALUES,
+        "--ell": st.one_of(st.sampled_from([7, 31, 43, 101, 151, 211]), st.integers(-5, 10**5)),
+    },
+    "density": {
+        "--p": P_VALUES,
+        "--x": st.one_of(st.integers(-5, 10**5), st.just(10**12)),
+    },
+}
+MALFORMED = st.sampled_from(["", "x", "1.5", "0x7", "--json"])
+
+
+@st.composite
+def argument_vectors(draw):
+    """A subcommand with each option valid, malformed or left out, and now and
+    then a stray --seed."""
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    for flag, values in FUZZ_OPTIONS[command].items():
+        roll = draw(st.integers(0, 19))
+        value = None if roll == 0 else draw(MALFORMED) if roll == 1 else draw(values)
+        if value is not None:
+            argv += [flag, str(value)]
+    if draw(st.integers(0, 9)) == 0:
+        argv += ["--seed", draw(st.sampled_from(["3", "x"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argument_vectors())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and "--json" in argv:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        assert json.loads(lines[0])["command"] == argv[0]

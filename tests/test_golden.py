@@ -1,5 +1,6 @@
 """Golden records: every CLI example in README.md, run with --json, must print
-exactly the canonical record stored under tests/golden/.
+exactly the canonical record stored under tests/golden/, and run without it
+must print its human lines and write that record to --out PATH.
 
 The records pin behaviour across refactors.  Regenerate one only when its
 output changes on purpose:
@@ -52,3 +53,14 @@ def test_cli_example_matches_golden_record(argv, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("argv", EXAMPLES, ids=record_name)
+def test_cli_example_prints_human_lines_and_writes_golden_record(argv, tmp_path, capsys):
+    expected = (GOLDEN / (record_name(argv) + ".json")).read_text(encoding="utf-8")
+    path = tmp_path / "record.json"
+    code = cli.main(argv + ["--out", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.strip() and out != expected
+    assert path.read_text(encoding="utf-8") == expected
