@@ -329,10 +329,14 @@ def main(argv=None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    print(canonical if args.json else "\n".join(human))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(canonical + "\n")
+        except OSError as exc:
+            print("error: cannot write --out: %s" % (exc,), file=sys.stderr)
+            return 2
+    print(canonical if args.json else "\n".join(human))
     return code[0] if code else 0
 
 

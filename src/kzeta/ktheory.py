@@ -250,11 +250,10 @@ def divisibility_verdict(p: int, m: int, k: int, variant: str = "plus") -> Verdi
     _require_odd_k(k)
     period = degree_adjoin_zeta(variant, m, p)  # checks variant and m
     prof = s_profile(m, p)
-    deep = any(j >= 2 for j, count in prof.s if count > 0)
     candidates = [c for c in range(1, p - 1, 2) if (k - c) % period == 0]
     candidates.sort(key=lambda c: (c != k, c))
     for k0 in candidates:
-        fired = (k0 < p - 2 and prof.theta >= 1) or (k0 == p - 2 and deep)
+        fired = (k0 < p - 2 and prof.theta >= 1) or (k0 == p - 2 and prof.theta >= 2)
         if not fired:
             continue
         slugs = ["bernoulli-product-lower-bound"]

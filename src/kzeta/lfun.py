@@ -304,34 +304,17 @@ def _slot_bits(coeffs: list[int], d: int, phi: int) -> tuple[int, int]:
     d * sum c_i^2, so by AM-GM over the phi primitive ones
     |N|^2 <= (d * sum c_i^2 / phi)^phi.
 
-    Phi_d(y) is the product of |y - zeta| over the primitive d-th roots, so
-    (y - 1)^phi <= Phi_d(y) <= (y + 1)^phi.  The least s whose lower bound
-    passes the check surely passes; below s - 8 even the upper bound fails,
-    as 2^(s-16) + 1 < 2^(s-8) - 1.  So only s - 8 and s need M itself.  The
-    bounds are compared in log2, and exactly when the logs fall within a bit
-    of each other.
-
     >>> _slot_bits([1, -1, 0], 3, 2)  # |N| = 3 < Phi_3(2^8) / 2
     (8, 65793)
     """
-    least = (max(map(abs, coeffs)).bit_length() + 9) // 8 * 8
+    s = (max(map(abs, coeffs)).bit_length() + 9) // 8 * 8
     bound = 4 * (d * sum(map(operator.mul, coeffs, coeffs))) ** phi
     scale = phi**phi
-    excess = math.log2(scale) - math.log2(bound)
-
-    def passes(y: int) -> bool:  # y^(2 phi) * phi^phi > bound
-        gap = 2 * phi * math.log2(y) + excess
-        return gap > 0 if abs(gap) > 1 else y ** (2 * phi) * scale > bound
-
-    # 2^s in place of 2^s - 1 puts this start at most 8 below the least s
-    s = max(least, math.ceil(-excess / (2 * phi) / 8) * 8 - 8)
-    while not passes((1 << s) - 1):
-        s += 8
-    if s > least and passes((1 << (s - 8)) + 1):
-        modulus = _cyclotomic_value(d, 1 << (s - 8))
+    while True:
+        modulus = _cyclotomic_value(d, 1 << s)
         if modulus * modulus * scale > bound:
-            return s - 8, modulus
-    return s, _cyclotomic_value(d, 1 << s)
+            return s, modulus
+        s += 8
 
 
 def _orbit_norm(coeffs: list[int], d: int) -> int:

@@ -26,9 +26,9 @@ The library takes an orbit norm as the product of the Galois conjugates
 sigma_a(P) evaluated at 2^s modulo Phi_d(2^s).  orbit_norm_doubling
 multiplies the conjugates as polynomials in Z[x]/(x^d - 1) by a doubling
 chain and reads the norm off the trace of the result, as the library did
-before.  The library takes s from the bounds
-(2^s - 1)^phi <= Phi_d(2^s) <= (2^s + 1)^phi; slot_bits_by_retries raises s
-by 8 and evaluates Phi_d(2^s) until the Parseval check passes.
+before.  Its slot width s has no oracle: it is defined by one exact rule
+(the least multiple of 8 from the slot floor whose Phi_d(2^s) passes the
+Parseval check), and the tests assert that rule directly.
 """
 
 import math
@@ -312,17 +312,3 @@ def orbit_norm_doubling(coeffs, d):
     if rem:
         raise AssertionError("the trace of an orbit norm is not divisible by phi(%d)" % d)
     return norm
-
-
-def slot_bits_by_retries(coeffs, d, phi):
-    """lfun._slot_bits(coeffs, d, phi) by raising s from its least value in
-    steps of 8, evaluating M = Phi_d(2^s) each time, until
-    M^2 * phi^phi > 4 * (d * sum c_i^2)^phi."""
-    s = (max(map(abs, coeffs)).bit_length() + 9) // 8 * 8
-    bound = 4 * (d * sum(map(operator.mul, coeffs, coeffs))) ** phi
-    scale = phi**phi
-    while True:
-        modulus = lfun._cyclotomic_value(d, 1 << s)
-        if modulus * modulus * scale > bound:
-            return s, modulus
-        s += 8

@@ -99,6 +99,17 @@ def test_out_file_matches_canonical_line(tmp_path, capsys):
     assert "K_6 order: 79" in out2
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, json_flag):
+    path = tmp_path / "missing" / "record.json"
+    code, out, err = run(capsys, "korder", "--m", "7", "--k", "1", "--out", str(path), *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not path.exists()
+
+
 def test_verdict_examples(capsys):
     rec = run_json(capsys, "verdict", "--p", "7", "--m", "88537", "--k", "1")
     assert rec["result"]["status"] == "GuaranteedDivisible"

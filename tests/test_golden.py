@@ -1,6 +1,7 @@
 """Golden records: every CLI example in README.md, run with --json, must print
 exactly the canonical record stored under tests/golden/, and run without it
-must print its human lines and write that record to --out PATH.
+must print its human lines and write that record to --out PATH.  Every file
+under tests/golden/ is the record of one README example.
 
 The records pin behaviour across refactors.  Regenerate one only when its
 output changes on purpose:
@@ -64,3 +65,9 @@ def test_cli_example_prints_human_lines_and_writes_golden_record(argv, tmp_path,
     assert code == 0
     assert out.strip() and out != expected
     assert path.read_text(encoding="utf-8") == expected
+
+
+def test_every_golden_record_has_its_readme_example():
+    # a record whose example has left the README is an orphan
+    records = sorted(path.name for path in GOLDEN.iterdir())
+    assert records == sorted(record_name(argv) + ".json" for argv in EXAMPLES)

@@ -25,6 +25,7 @@ from kzeta.arith import (
     CyclotomicRational,
     Poly,
     cyclotomic_polynomial_any,
+    factorize,
     is_prime,
     rational_part,
     resultant,
@@ -243,10 +244,22 @@ def galois_orbits(chars):
     return orbits
 
 
+def levelwise_zeta(chars, k):
+    """zeta_F(-k) for the field with character group chars, as zeta(-k) times,
+    for each Galois orbit {chi^a} of order d, the norm from Q(zeta_d) of one
+    member's L-value: Res(Phi_d, numerator) over denominator^phi(d)."""
+    total = Fraction(-bernoulli_number(k + 1), k + 1)
+    for orbit in galois_orbits(chars):
+        value = l_value_negative(orbit[0], k)
+        assert len(orbit) == value.level.degree
+        phi_d = cyclotomic_polynomial_any(value.level.modulus)
+        norm = resultant(phi_d, Poly(value.numerator.coeffs))
+        total *= Fraction(norm, value.denominator ** len(orbit))
+    return total
+
+
 def test_zeta_matches_levelwise_orbit_products():
-    # each Galois orbit {chi^a} of order d contributes the norm from
-    # Q(zeta_d) of one member's L-value: Res(Phi_d, numerator) over
-    # denominator^phi(d); compare with the orbit-norm route
+    # compare the resultant norms of the orbits with the orbit-norm route
     cases = [
         (FieldSpec.real_cyclotomic(7), 9),
         (FieldSpec.real_cyclotomic(11), 1),
@@ -258,14 +271,28 @@ def test_zeta_matches_levelwise_orbit_products():
         (FieldSpec.max_p_subextension(133, 3), 1),
     ]
     for spec, k in cases:
-        total = Fraction(-bernoulli_number(k + 1), k + 1)
-        for orbit in galois_orbits(spec.sorted_characters()):
-            value = l_value_negative(orbit[0], k)
-            assert len(orbit) == value.level.degree
-            phi_d = cyclotomic_polynomial_any(value.level.modulus)
-            norm = resultant(phi_d, Poly(value.numerator.coeffs))
-            total *= Fraction(norm, value.denominator ** len(orbit))
-        assert total == zeta_value_negative(spec, k), (spec.describe(), k)
+        want = levelwise_zeta(spec.sorted_characters(), k)
+        assert want == zeta_value_negative(spec, k), (spec.describe(), k)
+
+
+# the even primitive characters of conductor <= 60 whose order is a prime power
+EVEN_PRIME_POWER_ORDER = [
+    chi
+    for m in range(3, 61)
+    for exps in itertools.product(*(range(o) for _, o in unit_group(m).generators))
+    for chi in [DirichletCharacter(unit_group(m), exps)]
+    if chi.is_primitive() and chi.is_even and len(factorize(chi.order)) == 1
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(EVEN_PRIME_POWER_ORDER), st.sampled_from([1, 3, 5]))
+def test_explicit_zeta_matches_levelwise_orbit_products(chi, k):
+    # the field cut out by the cyclic group of the powers of chi
+    powers = {chi**j for j in range(chi.order)}
+    spec = FieldSpec.explicit(powers)
+    assert spec.degree == len(powers) == chi.order
+    assert levelwise_zeta(powers, k) == zeta_value_negative(spec, k), (chi, k)
 
 
 @pytest.mark.parametrize("ell, p", [(4003, 3), (4001, 5)])

@@ -15,7 +15,7 @@ from kzeta.arith import Poly, cyclotomic_polynomial_any, is_prime, resultant
 from kzeta.arith.poly import _crt_primes
 from kzeta.characters import FieldSpec, unit_group
 
-from oracles import orbit_norm_doubling, slot_bits_by_retries
+from oracles import orbit_norm_doubling
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 FIRST_CRT_PRIMES = list(itertools.islice(_crt_primes(), 3))
@@ -237,32 +237,25 @@ def test_slot_width_retries_until_the_bound_holds(monkeypatch):
 
     monkeypatch.setattr(lfun, "_cyclotomic_value", recording)
     assert lfun._slot_bits(coeffs, d, unit_group(d).phi) == (16, value(d, 2**16))
-    assert tried == [16]
+    assert tried == [8, 16]
     assert lfun._orbit_norm(coeffs, d) == orbit_norm_doubling(coeffs, d)
 
 
 # At d = 23 (phi = 22) these two sums of squares, 58397 and 59009, put the
-# Parseval bound between the lower and upper bounds of Phi_23(2^8)^2 * 22^22:
-# 2^8 is then decided by the exact value, which passes for the first and
-# fails for the second.
+# Parseval bound 4 * (23 * sum c_i^2)^22 within 20% of Phi_23(2^8)^2 * 22^22,
+# below it for the first and above it for the second, so s = 8 passes for the
+# first and fails for the second.
 NEAR_SLOT_EDGE = [
-    ([63] * 14 + [53, 3, 3, 2] + [0] * 5, [8], 8),
-    ([63] * 14 + [57, 13, 5] + [0] * 6, [8, 16], 16),
+    ([63] * 14 + [53, 3, 3, 2] + [0] * 5, 8),
+    ([63] * 14 + [57, 13, 5] + [0] * 6, 16),
 ]
 
 
-@pytest.mark.parametrize("coeffs, want_tried, want_s", NEAR_SLOT_EDGE)
-def test_slot_width_evaluates_phi_at_most_twice(monkeypatch, coeffs, want_tried, want_s):
-    d, tried = len(coeffs), []
-    value = lfun._cyclotomic_value
-
-    def recording(d, y):
-        tried.append(y.bit_length() - 1)
-        return value(d, y)
-
-    monkeypatch.setattr(lfun, "_cyclotomic_value", recording)
-    assert lfun._slot_bits(coeffs, d, unit_group(d).phi) == (want_s, value(d, 2**want_s))
-    assert tried == want_tried
+@pytest.mark.parametrize("coeffs, want_s", NEAR_SLOT_EDGE)
+def test_slot_width_is_decided_by_the_exact_value_near_the_edge(coeffs, want_s):
+    d = len(coeffs)
+    got = lfun._slot_bits(coeffs, d, unit_group(d).phi)
+    assert got == (want_s, lfun._cyclotomic_value(d, 2**want_s))
 
 
 # coefficient lists of every length in orbit_degrees, of 1 to 30 digits
@@ -276,11 +269,22 @@ coefficient_lists = st.tuples(orbit_degrees, st.sampled_from([1, 2, 3, 6, 10, 30
 @example([63] * 150 + [-63] * 150)
 @example(NEAR_SLOT_EDGE[0][0])
 @example(NEAR_SLOT_EDGE[1][0])
-def test_slot_width_matches_retries(coeffs):
-    # the width taken from the bounds is the one the retry loop reaches
+def test_slot_width_is_the_least_that_passes_the_parseval_check(coeffs):
+    # s is the least multiple of 8 from the slot floor with
+    # M^2 * phi^phi > 4 * (d * sum c_i^2)^phi, M = Phi_d(2^s)
     d = len(coeffs)
     phi = unit_group(d).phi
-    assert lfun._slot_bits(coeffs, d, phi) == slot_bits_by_retries(coeffs, d, phi)
+    floor = max(map(abs, coeffs)).bit_length() + 2
+    bound = 4 * (d * sum(c * c for c in coeffs)) ** phi
+
+    def passes(s):
+        return lfun._cyclotomic_value(d, 2**s) ** 2 * phi**phi > bound
+
+    s, modulus = lfun._slot_bits(coeffs, d, phi)
+    assert s % 8 == 0 and s >= floor
+    assert modulus == lfun._cyclotomic_value(d, 2**s)
+    assert passes(s)
+    assert s - 8 < floor or not passes(s - 8)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
