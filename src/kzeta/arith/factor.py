@@ -1,8 +1,8 @@
 """Integer primality and factorization: trial division, Miller-Rabin,
 Pollard rho and the elliptic-curve method.
 
-Primality is deterministic below 2**64, by the fewest fixed witnesses that
-suffice for the size of n, and strongly probabilistic above.
+Primality is deterministic below 2**64, by the fewest fixed Miller-Rabin
+bases known to suffice for the size of n, and strongly probabilistic above.
 Factorization is exact: the returned multiset always multiplies back to the
 input, and every factor reported prime has passed the primality test.  It
 runs three stages.  Trial division tests blocks of small primes at once by
@@ -30,20 +30,21 @@ import zlib
 # Deterministic Miller-Rabin witnesses for n < 2**64 (Sorenson & Webster).
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_BOUND = 2**64  # is_prime draws random witnesses only above this
-# (bound, k): the first k witnesses decide every n below bound, the smallest
-# such sets known (Pomerance, Selfridge & Wagstaff, Math. Comp. 35 (1980);
+# (bound, bases): the bases decide every n below bound, the smallest such
+# sets known (Pomerance, Selfridge & Wagstaff, Math. Comp. 35 (1980);
 # Jaeschke, Math. Comp. 61 (1993)); each bound below 2**64 is the least
-# strong pseudoprime to those k bases.
+# strong pseudoprime to those bases.
 _WITNESS_TIERS = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-    (_DETERMINISTIC_BOUND, 12),
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (25326001, (2, 3, 5)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, _SMALL_WITNESSES[:5]),
+    (3474749660383, _SMALL_WITNESSES[:6]),
+    (341550071728321, _SMALL_WITNESSES[:7]),
+    (3825123056546413051, _SMALL_WITNESSES[:9]),
+    (_DETERMINISTIC_BOUND, _SMALL_WITNESSES),
 )
 _TRIAL_BOUND = 100_000
 _TRIAL_BLOCK = 64  # small primes per gcd in trial division
@@ -185,9 +186,9 @@ def _miller_rabin_witness(n: int, a: int, d: int, r: int) -> bool:
 def is_prime(n: int, rng: random.Random | None = None) -> bool:
     """Primality test.
 
-    Deterministic for n < 2**64, by the fewest of the fixed witnesses that
-    suffice below the next bound of _WITNESS_TIERS; for larger n runs all
-    twelve plus 20 random rounds drawn from rng (error probability
+    Deterministic for n < 2**64, by the bases of the first tier of
+    _WITNESS_TIERS whose bound exceeds n; for larger n runs all twelve
+    primes up to 37 plus 20 random rounds drawn from rng (error probability
     < 4**-20).
 
     >>> is_prime(2302381)
@@ -204,8 +205,8 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
         return True
     r = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> r
-    k = next((k for bound, k in _WITNESS_TIERS if n < bound), len(_SMALL_WITNESSES))
-    for a in _SMALL_WITNESSES[:k]:
+    bases = next((bases for bound, bases in _WITNESS_TIERS if n < bound), _SMALL_WITNESSES)
+    for a in bases:
         if _miller_rabin_witness(n, a, d, r):
             return False
     if n < _DETERMINISTIC_BOUND:

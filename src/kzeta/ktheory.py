@@ -94,23 +94,26 @@ def k_order(
     """#K_{2k}(O_F) for totally real abelian F and odd k >= 1, exactly.
 
     Set factor=False to skip integer factorization of the order; the exact
-    order itself is always computed.  A non-integral or non-positive value of
-    the order formula raises ComputationError with the offending data.
+    order itself is always computed, as one division of integers: w times
+    the numerator of zeta_F(-k), signed or over 2^r, by its denominator.  A
+    non-integral or non-positive value of the order formula raises
+    ComputationError with the offending data.
     """
     _require_odd_k(k)
     r = spec.degree
     w = w_invariant(spec, k + 1)
     z = zeta_value_negative(spec, k)
+    num, den = w * z.numerator, z.denominator
     if k % 4 == 1:
-        value = Fraction((-1) ** r) * w * z
+        num *= (-1) ** r
     else:
-        value = Fraction(w, 2**r) * z
-    if value.denominator != 1 or value <= 0:
+        den <<= r
+    order, rem = divmod(num, den)
+    if rem or order <= 0:
         raise ComputationError(
             "order formula gave a non-positive or non-integral value %s "
-            "(field %s, k=%d, w=%d, zeta=%s)" % (value, spec.describe(), k, w, z)
+            "(field %s, k=%d, w=%d, zeta=%s)" % (Fraction(num, den), spec.describe(), k, w, z)
         )
-    order = int(value)
     fac = tuple(factorize(order, seed=seed)) if factor else None
     return KOrderReport(spec, k, order, fac, w, z)
 

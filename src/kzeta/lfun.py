@@ -10,26 +10,28 @@ where D = lcm(denominator(B_0), ..., denominator(B_n)) and
 N_a = D * sum_i C(n,i) B_i f^i a^(n-i) = D f^n B_n(a/f) is an integer.  The
 weights N_a depend on (f, n) only, so they are computed once per conductor:
 tabulated for a <= f/2 by running sums of their constant n-th forward
-difference, mirrored by N_{f-a} = (-1)^n N_a, as B_n(1-x) = (-1)^n B_n(x),
-and gathered at the units of a transversal of (Z/f)^* modulo {1, -1}.  The
-other half of the units follows from the same mirror and
-chi(f-a) = chi(-1) chi(a).  Each character
-then sums the shared weights by slices of its exponent pattern on the
-generators; no unit is visited one at a time.  generalized_bernoulli
+difference (by Horner's rule at each a when f/2 <= n), mirrored by
+N_{f-a} = (-1)^n N_a, as B_n(1-x) = (-1)^n B_n(x), and gathered at the
+units of a transversal of (Z/f)^* modulo {1, -1}.  The other half of the
+units follows from the same mirror and chi(f-a) = chi(-1) chi(a).  Each
+character then sums the shared weights by slices of its exponent pattern on
+the generators; no unit is visited one at a time.  generalized_bernoulli
 returns B_{n,chi} itself, in Z[zeta_{p^N}] for chi of prime-power order.
-Zeta values, pi-adic valuations and product valuations all go through one
-rational quantity instead: the product of B_{n,chi^a} over a Galois orbit of
-characters of order d, which is N(P(zeta_d)) / (f*D)^phi(d) with
-P(y) = sum_a N_a y^(t_a).  The orbits come from FieldSpec.orbits, one
-representative and the orbit size phi(d) each; no conjugate is built.  The
-norm is the product of the Galois conjugates sigma_a(P), a in (Z/d)^*,
-evaluated at x = 2^s modulo M = Phi_d(2^s): sigma_a permutes the
-coefficients, so each conjugate's value is one integer joined from s-bit
-slots, and phi(d) integer multiplies give N mod M.  s is chosen so that the
-Parseval bound |N|^2 <= (d * sum c_i^2 / phi(d))^phi(d) puts N below M/2.
-Since p is totally ramified in Q(zeta_{p^N}), the valuation at
-pi = 1 - zeta_{p^N} of B_{n,chi}, chi of order p^b, is p^(N-b) times v_p of
-its orbit product.
+Zeta values, pi-adic valuations and product valuations go through two
+integers per Galois orbit of characters of order d instead: the norm
+N = N(P(zeta_d)) with P(y) = sum_a N_a y^(t_a), and the scale (f*D)^phi(d).
+Their quotient is the product of B_{n,chi^a} over the orbit.  A zeta value
+divides each orbit's norm and scale by their gcd and multiplies them into
+one numerator and denominator; a valuation is v_p(N) - phi(d) v_p(f*D).
+The orbits come from FieldSpec.orbits, one representative and the orbit
+size phi(d) each; no conjugate is built.  The norm is the product of the
+Galois conjugates sigma_a(P), a in (Z/d)^*, evaluated at x = 2^s modulo
+M = Phi_d(2^s): sigma_a permutes the coefficients, so each conjugate's value
+is one integer joined from s-bit slots, and phi(d) integer multiplies give
+N mod M.  s is chosen so that the Parseval bound
+|N|^2 <= (d * sum c_i^2 / phi(d))^phi(d) puts N below M/2.  Since p is
+totally ramified in Q(zeta_{p^N}), the valuation at pi = 1 - zeta_{p^N} of
+B_{n,chi}, chi of order p^b, is p^(N-b) times v_p of its orbit product.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 
 from .arith import (
     CyclotomicElement,
@@ -147,11 +149,13 @@ def _transversal(f: int) -> tuple[tuple[tuple[int, int], ...], list[int]]:
 def _half_weights(f: int, n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """The digits of _transversal(f) and N_a for each of its units a.
 
-    N_a is a polynomial of degree n in a, so its n-th forward difference is
-    constant: N_0, ..., N_{f//2} come from the differences at a = 0 by n
-    running sums, one add per entry per pass.  N_{f-a} = (-1)^n N_a mirrors
-    them onto the other residues, and one itemgetter gathers the units in
-    the transversal's order.  Orbits come grouped by conductor
+    N_a is a polynomial of degree n in a.  When f//2 <= n, N_0, ..., N_{f//2}
+    are each taken by Horner's rule.  Otherwise its n-th forward difference
+    is constant: N_0, ..., N_n by Horner's rule give the differences at
+    a = 0, and n running sums of them, one add per entry per pass, give
+    N_0, ..., N_{f//2}.  N_{f-a} = (-1)^n N_a mirrors them onto the other
+    residues, and one itemgetter gathers the units in the transversal's
+    order.  Orbits come grouped by conductor
     (FieldSpec.orbits is in sort order), so a few entries serve every orbit.
 
     >>> _half_weights(7, 2)  # D = 6; N_a = 6a^2 - 42a + 49 at a = 1, 3, 2
@@ -163,20 +167,21 @@ def _half_weights(f: int, n: int) -> tuple[tuple[tuple[int, int], ...], tuple[in
     """
     digits, units = _transversal(f)
     coeffs = _numerator_coefficients(n, f, _bernoulli_denominator_lcm(n))
-    diffs = []  # N_0, ..., N_n by Horner's rule, then their differences at 0
-    for a in range(n + 1):
+    half = max(f // 2, 1)  # f = 1: the one unit is 1
+    table = []  # N_0, ..., N_min(n, half) by Horner's rule
+    for a in range(min(n, half) + 1):
         v = 0
         for c in coeffs:
             v = v * a + c
-        diffs.append(v)
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            diffs[i] -= diffs[i - 1]
-    half = max(f // 2, 1)  # f = 1: the one unit is 1
-    table = repeat(diffs[n], max(half + 1 - n, 0))
-    for start in reversed(diffs[:n]):
-        table = accumulate(table, initial=start)
-    table = list(islice(table, half + 1))
+        table.append(v)
+    if half > n:  # the rest by n running sums of the differences at 0
+        for j in range(1, n + 1):
+            for i in range(n, j - 1, -1):
+                table[i] -= table[i - 1]
+        sums = repeat(table[n], half + 1 - n)
+        for start in reversed(table[:n]):
+            sums = accumulate(sums, initial=start)
+        table = list(sums)
     mirror = table[f - 1 - f // 2 : 0 : -1]  # N_a for a = f//2 + 1, ..., f - 1
     table += map(operator.neg, mirror) if n % 2 else mirror
     weights = operator.itemgetter(*units)(table)
@@ -298,7 +303,7 @@ def _slot_bits(coeffs: list[int], d: int, phi: int) -> tuple[int, int]:
     """The slot width s and M = Phi_d(2^s) under which _orbit_norm reads N.
 
     s is the least multiple of 8 with s >= bits(max|c_i|) + 2, so that every
-    c_i + 2^(s-1) fills one s-bit slot, and with
+    c_i - min(c) <= 2 max|c_i| fills one s-bit slot, and with
     M^2 * phi^phi > 4 * (d * sum c_i^2)^phi.  That check proves M > 2|N|:
     by Parseval, |P|^2 summed over all d-th roots of unity is
     d * sum c_i^2, so by AM-GM over the phi primitive ones
@@ -325,11 +330,14 @@ def _orbit_norm(coeffs: list[int], d: int) -> int:
     makes N = prod_a sigma_a(P)(2^s) mod M, M = Phi_d(2^s), and _slot_bits
     picks s with M > 2|N|, so N is the symmetric residue.  Each
     sigma_a(P)(2^s) is one integer, joined from the s-bit slots of the
-    coefficients (each offset by 2^(s-1) to be nonnegative, the offset taken
-    off the whole), and the slots of the next conjugate are those of the last
+    coefficients, and the slots of the next conjugate are those of the last
     permuted by one fixed itemgetter per generator of unit_group(d), in
-    mixed-radix order.  M divides 2^(sd) - 1, so the running product is folded
-    mod 2^(sd) - 1 after each multiply and reduced mod M once at the end.
+    mixed-radix order.  The coefficients are first shifted by -min(c_i), into
+    [0, 2 max|c_i|], which fits an s-bit slot.  For d > 1 the shift adds a
+    multiple of 1 + x + ... + x^(d-1), which every sigma_a fixes and every
+    primitive d-th root of unity annuls, so N is unchanged; d = 1 gives c_0.
+    M divides 2^(sd) - 1, so the running product is folded mod 2^(sd) - 1
+    after each multiply and reduced mod M once at the end.
 
     >>> _orbit_norm([1, -1, 0], 3)  # 1 - zeta_3
     3
@@ -338,15 +346,16 @@ def _orbit_norm(coeffs: list[int], d: int) -> int:
     >>> _orbit_norm([5], 1), _orbit_norm([0, 0, 0, 0], 4)
     (5, 0)
     """
+    if d == 1:
+        return coeffs[0]
     if not any(coeffs):
         return 0
     group = unit_group(d)
     s, modulus = _slot_bits(coeffs, d, group.phi)
-    nbytes, half = s // 8, 1 << (s - 1)
+    nbytes, low = s // 8, min(coeffs)
     slots = tuple(
-        map(int.to_bytes, map(half.__add__, coeffs), repeat(nbytes), repeat("little"))
+        map(int.to_bytes, map(low.__rsub__, coeffs), repeat(nbytes), repeat("little"))
     )
-    offset = int.from_bytes(half.to_bytes(nbytes, "little") * d, "little")
     width = s * d
     mask = (1 << width) - 1
     steps = [
@@ -355,7 +364,7 @@ def _orbit_norm(coeffs: list[int], d: int) -> int:
     digits = [0] * len(steps)
     product = 1
     while True:
-        z = product * (int.from_bytes(b"".join(slots), "little") - offset)
+        z = product * int.from_bytes(b"".join(slots), "little")
         product = (z & mask) + (z >> width)
         for i, (step, k) in enumerate(steps):  # k steps of g bring the slots back
             slots = step(slots)
@@ -369,38 +378,41 @@ def _orbit_norm(coeffs: list[int], d: int) -> int:
     return norm - modulus if 2 * norm > modulus else norm
 
 
-def _orbit_bernoulli_product(chi: DirichletCharacter, n: int) -> Fraction:
-    """Product of B_{n,chi^a} over a in (Z/d)^*, d = ord(chi), as a rational.
-
-    With P(y) = sum_a N_a y^(t_a), this is N(P(zeta_d)) / (f*D)^phi(d).
-    """
+def _orbit_valuation(chi: DirichletCharacter, n: int, p: int) -> int:
+    """v_p of the orbit product N / (f*D)^phi(d) of B_{n,chi}; raises if it
+    vanishes."""
     d = chi.order
     f, big_d, buckets = _value_buckets(chi, n)
-    return Fraction(_orbit_norm(buckets, d), (f * big_d) ** unit_group(d).phi)
-
-
-def _orbit_valuation(chi: DirichletCharacter, n: int, p: int) -> int:
-    """v_p of the orbit product of B_{n,chi}; raises if it vanishes."""
-    value = _orbit_bernoulli_product(chi, n)
-    if value == 0:
+    norm = _orbit_norm(buckets, d)
+    if norm == 0:
         raise ArithmeticError("generalized Bernoulli number vanishes")
-    return valuation(value.numerator, p) - valuation(value.denominator, p)
+    return valuation(norm, p) - unit_group(d).phi * valuation(f * big_d, p)
 
 
 def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
     """zeta_F(-k) for the totally real abelian field F, odd k >= 1.
 
     Artin factorization over the character group: the trivial character
-    contributes zeta(-k) = -B_{k+1}/(k+1), and each Galois orbit of
-    nontrivial characters contributes its rational orbit product of
-    L(chi^a, -k) = -B_{k+1,chi^a}/(k+1).
+    contributes zeta(-k) = -B_{k+1}/(k+1), and each Galois orbit of size phi
+    of nontrivial characters contributes the product of
+    L(chi^a, -k) = -B_{k+1,chi^a}/(k+1), which is (-1)^phi N / scale with
+    the integer norm N and scale = ((k+1) * f * D)^phi.  Each orbit's N and
+    scale are divided by their gcd before they join the running numerator
+    and denominator, so no factor common to one orbit is carried along; the
+    one Fraction at the end reduces what the orbits share.
     """
     _require_odd_k(k)
     spec.require_totally_real()
-    value = Fraction(-bernoulli_number(k + 1), k + 1)
-    for chi, size in spec.orbits:
-        value *= Fraction(-1, k + 1) ** size * _orbit_bernoulli_product(chi, k + 1)
-    return value
+    n = k + 1
+    b = bernoulli_number(n)
+    num, den = -b.numerator, b.denominator * n
+    for chi, phi in spec.orbits:
+        f, big_d, buckets = _value_buckets(chi, n)
+        norm, scale = _orbit_norm(buckets, chi.order), (n * f * big_d) ** phi
+        g = math.gcd(norm, scale)
+        num *= norm // g if phi % 2 == 0 else -norm // g
+        den *= scale // g
+    return Fraction(num, den)
 
 
 def char_bernoulli_pi_valuation(

@@ -22,6 +22,13 @@ tuples (FieldSpec.orbits) and tests an explicit character set for closure
 through a generating set.  galois_orbits builds every conjugate chi**a as a
 character instead, and closure_error tries all n**2 products.
 
+The library keeps each Galois orbit's product of B_{n,chi^a} as two
+integers, the norm N and the scale (f*D)^phi(d), divided by their gcd, and
+makes one Fraction per zeta value.  orbit_bernoulli_product takes each
+orbit's product as a Fraction N / (f*D)^phi(d) instead, as the library did
+before; the tests multiply those Fractions into zeta values and take the
+orbits' valuations from them.
+
 The library takes an orbit norm as the product of the Galois conjugates
 sigma_a(P) evaluated at 2^s modulo Phi_d(2^s).  orbit_norm_doubling
 multiplies the conjugates as polynomials in Z[x]/(x^d - 1) by a doubling
@@ -33,6 +40,7 @@ Parseval check), and the tests assert that rule directly.
 
 import math
 import operator
+from fractions import Fraction
 from itertools import repeat
 
 from kzeta import lfun
@@ -157,6 +165,14 @@ def half_weights(f, n):
     for c in coeffs[1:]:
         weights = map(operator.add, map(operator.mul, weights, units), repeat(c))
     return digits, tuple(weights)
+
+
+def orbit_bernoulli_product(chi, n):
+    """Product of B_{n,chi^a} over a in (Z/d)^*, d = ord(chi), as one Fraction
+    N(P(zeta_d)) / (f*D)^phi(d), P(y) = sum_a N_a y^(t_a)."""
+    d = chi.order
+    f, big_d, buckets = lfun._value_buckets(chi, n)
+    return Fraction(lfun._orbit_norm(buckets, d), (f * big_d) ** unit_group(d).phi)
 
 
 def galois_orbits(chars):

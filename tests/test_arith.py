@@ -73,7 +73,8 @@ STRONG_PSEUDOPRIMES = (
     2047,
     1373653,
     25326001,
-    3215031751,
+    4759123141,
+    1122004669633,
     2152302898747,
     3474749660383,
     341550071728321,
@@ -82,12 +83,12 @@ STRONG_PSEUDOPRIMES = (
 
 
 def test_is_prime_rejects_each_tiers_least_strong_pseudoprime():
-    for (bound, k), n in zip(factor._WITNESS_TIERS, STRONG_PSEUDOPRIMES):
+    for (bound, bases), n in zip(factor._WITNESS_TIERS, STRONG_PSEUDOPRIMES):
         assert bound == n
         r = ((n - 1) & (1 - n)).bit_length() - 1
         d = (n - 1) >> r
         # the tier's own witnesses let n through, so the tier must end below it
-        assert not any(factor._miller_rabin_witness(n, a, d, r) for a in factor._SMALL_WITNESSES[:k])
+        assert not any(factor._miller_rabin_witness(n, a, d, r) for a in bases)
         assert not is_prime(n)
         assert not is_prime_all_witnesses(n)
 
@@ -120,6 +121,34 @@ def word_size_numbers(draw):
 @example(2**64 - 59)  # the largest prime below 2**64
 @example(3825123056546413051)
 def test_is_prime_matches_twelve_witnesses_below_2_64(n):
+    assert is_prime(n) == is_prime_all_witnesses(n)
+
+
+# Jaeschke's bases take n from 25326001 to 1122004669633; the draws run on
+# past the next two tier bounds, where the first primes take over again.
+JAESCHKE_LOW, JAESCHKE_HIGH = 25 * 10**6, 35 * 10**11
+
+
+@st.composite
+def jaeschke_range_numbers(draw):
+    """n in [JAESCHKE_LOW, JAESCHKE_HIGH]: prime, a product of two primes, or
+    near a tier bound in the range."""
+    shape = draw(st.sampled_from(["prime", "semiprime", "tier"]))
+    if shape == "prime":
+        return _next_prime(draw(st.integers(JAESCHKE_LOW, JAESCHKE_HIGH - 10**4)))
+    if shape == "semiprime":
+        p = _next_prime(draw(st.integers(41, 1_800_000)))
+        return p * _next_prime(draw(st.integers(JAESCHKE_LOW // p, JAESCHKE_HIGH // p - 10**4)))
+    bounds = [b for b, _ in factor._WITNESS_TIERS if JAESCHKE_LOW <= b <= JAESCHKE_HIGH]
+    return draw(st.sampled_from(bounds)) + draw(st.integers(-1000, 1000))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(jaeschke_range_numbers())
+@example(3215031751)  # the least strong pseudoprime to 2, 3, 5 and 7
+@example(48781 * 97561)  # the first to 2, 7 and 61
+@example(1122004669633)  # the first to 2, 13, 23 and 1662803
+def test_is_prime_matches_twelve_witnesses_on_jaeschkes_tiers(n):
     assert is_prime(n) == is_prime_all_witnesses(n)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kzeta import characters, lfun
+from kzeta import characters, ktheory, lfun
 from kzeta.arith import primes_up_to, valuation
 from kzeta.characters import DirichletCharacter, FieldSpec, unit_group
 from kzeta.ktheory import (
@@ -469,3 +469,24 @@ def test_browkin_density_pins_at_1e7(p):
 
 def test_computation_error_is_runtime_error():
     assert issubclass(ComputationError, RuntimeError)
+
+
+@pytest.mark.parametrize("w", [1, 22])
+def test_order_formula_rejects_a_non_integral_value(monkeypatch, w):
+    # w in place of w_2 = 168 leaves (-1)^3 * w * zeta = w/21 for
+    # Q(zeta_7)^+; 22/21 is positive, with integer part 1
+    monkeypatch.setattr(ktheory, "w_invariant", lambda spec, j: w)
+    with pytest.raises(ComputationError) as info:
+        k_order(FieldSpec.real_cyclotomic(7), 1)
+    assert str(info.value) == (
+        "order formula gave a non-positive or non-integral value %d/21 "
+        "(field Q(zeta_7)^+, k=1, w=%d, zeta=-1/21)" % (w, w)
+    )
+
+
+def test_order_formula_rejects_a_negative_value(monkeypatch):
+    # the negated zeta value turns the order 8 of K_2 of Q(zeta_7)^+ into -8
+    zeta = ktheory.zeta_value_negative
+    monkeypatch.setattr(ktheory, "zeta_value_negative", lambda spec, k: -zeta(spec, k))
+    with pytest.raises(ComputationError, match=r"value -8 \(field Q\(zeta_7\)\^\+, k=1, w=168, zeta=1/21\)"):
+        k_order(FieldSpec.real_cyclotomic(7), 1)

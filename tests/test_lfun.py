@@ -50,6 +50,7 @@ from kzeta.powersum import bernoulli_number, bernoulli_polynomial
 
 from oracles import evaluate
 from oracles import half_weights as oracle_half_weights
+from oracles import orbit_bernoulli_product
 from oracles import value_buckets as oracle_value_buckets
 
 
@@ -295,6 +296,45 @@ def test_explicit_zeta_matches_levelwise_orbit_products(chi, k):
     assert levelwise_zeta(powers, k) == zeta_value_negative(spec, k), (chi, k)
 
 
+# every spec kind, with orbits of orders 2 to 40 and conductors to 200
+FRACTION_SPECS = (
+    [FieldSpec.real_cyclotomic(m) for m in range(3, 130)]
+    + [FieldSpec.prime_cyclic_subfield(ell, p) for ell, p in ((7, 3), (31, 5), (43, 7), (199, 3))]
+    + [FieldSpec.max_p_subextension(m, p) for m, p in ((133, 3), (11 * 31, 5), (29 * 43, 7))]
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FRACTION_SPECS), st.sampled_from([1, 3, 5, 7]))
+@example(FieldSpec.real_cyclotomic(85), 1)  # orbits of orders 2, 4, 8 and 16
+def test_zeta_matches_fraction_orbit_products(spec, k):
+    # the integer norms and scales, reduced per orbit, against one Fraction
+    # product per orbit
+    want = Fraction(-bernoulli_number(k + 1), k + 1)
+    for chi, size in spec.orbits:
+        want *= Fraction(-1, k + 1) ** size * orbit_bernoulli_product(chi, k + 1)
+    got = zeta_value_negative(spec, k)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_orbit_valuation_matches_fraction_product(data):
+    spec = data.draw(st.sampled_from([spec for spec in FRACTION_SPECS if spec.orbits]))
+    chi, _ = data.draw(st.sampled_from(spec.orbits))
+    n = data.draw(st.sampled_from([2, 4, 6, 8]))
+    # primes of D, primes of f, and one prime of neither
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 101] + [q for q, _ in factorize(chi.conductor)]))
+    value = orbit_bernoulli_product(chi, n)
+    if value == 0:
+        with pytest.raises(ArithmeticError):
+            lfun._orbit_valuation(chi, n, p)
+    else:
+        want = valuation(value.numerator, p) - valuation(value.denominator, p)
+        assert lfun._orbit_valuation(chi, n, p) == want
+
+
 @pytest.mark.parametrize("ell, p", [(4003, 3), (4001, 5)])
 def test_zeta_takes_no_dlog_per_residue(monkeypatch, ell, p):
     calls = []
@@ -479,6 +519,17 @@ def test_half_weights_match_horner(f, n):
     assert lfun._half_weights.__wrapped__(f, n) == oracle_half_weights(f, n)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 64), st.integers(2, 200))
+@example(7, 200)  # four entries, all by Horner
+@example(64, 32)  # f//2 = n: still all by Horner
+@example(64, 31)  # f//2 = n + 1: the difference table, one running sum long
+@example(63, 2)
+def test_half_weights_at_large_n_match_horner(f, n):
+    # f//2 <= n takes every entry by Horner's rule, f//2 > n the running sums
+    assert lfun._half_weights.__wrapped__(f, n) == oracle_half_weights(f, n)
+
+
 def test_weights_built_once_per_conductor(monkeypatch):
     calls = []
     transversal = lfun._transversal
@@ -582,3 +633,36 @@ def test_lfun_keeps_the_bindings_the_bench_traces(owner, attr):
         assert isinstance(binding, functools.cached_property)
         binding = binding.func
     assert callable(binding)
+
+
+
+@pytest.mark.parametrize(
+    "spec, k",
+    [
+        (FieldSpec.real_cyclotomic(7), 1),
+        (FieldSpec.real_cyclotomic(4620), 1),
+        (FieldSpec.prime_cyclic_subfield(31, 5), 3),
+        (FieldSpec.max_p_subextension(29 * 43, 7), 5),
+    ],
+    ids=lambda x: x.describe() if isinstance(x, FieldSpec) else "k=%d" % x,
+)
+def test_k_order_goes_through_the_traced_zeta_and_one_norm_per_orbit(monkeypatch, spec, k):
+    # bench/spans.py times the lfun.zeta span at ktheory.zeta_value_negative;
+    # a k_order that went around it, or took norms outside _orbit_norm, would
+    # leave that span at 0
+    zeta_calls, norm_orders = [], []
+    zeta, norm = ktheory.zeta_value_negative, lfun._orbit_norm
+
+    def counting_zeta(*args):
+        zeta_calls.append(args)
+        return zeta(*args)
+
+    def counting_norm(coeffs, d):
+        norm_orders.append(d)
+        return norm(coeffs, d)
+
+    monkeypatch.setattr(ktheory, "zeta_value_negative", counting_zeta)
+    monkeypatch.setattr(lfun, "_orbit_norm", counting_norm)
+    k_order(spec, k, factor=False)
+    assert zeta_calls == [(spec, k)]
+    assert norm_orders == [chi.order for chi, _ in spec.orbits]
