@@ -17,12 +17,13 @@ in mixed-radix order on the generators, and sums by exponent pattern.  No
 character value takes a discrete log; UnitGroupStructure.dlog (Pohlig-Hellman
 with baby-step giant-step) is API.
 
-A field's character group is walked by Galois orbits (FieldSpec.orbits): the
-conjugates chi**a of an exponent tuple x are the tuples a*x mod o_i, so each
-orbit is marked off on plain tuples and only its representative becomes a
-DirichletCharacter.  Degree, conductor, group exponent, the w-invariant and
-the zeta value all read the orbits; FieldSpec.characters expands the
-conjugates for callers that want every character.
+A field's character group is held as exponent tuples on one unit group, and
+walked by Galois orbits (FieldSpec.orbits): the conjugates chi**a of a tuple
+x are the tuples a*x mod o_i, so each orbit is marked off on plain tuples and
+only its representative becomes a DirichletCharacter.  Degree, conductor,
+group exponent, the w-invariant and the zeta value all read the orbits;
+FieldSpec.characters expands the conjugates for callers that want every
+character.  FieldSpec.explicit checks closure on the same tuples.
 """
 
 from __future__ import annotations
@@ -379,47 +380,36 @@ class FieldSpec:
         chars = frozenset(chars)
         if not chars:
             raise ValueError("explicit character sets must not be empty")
-        for chi in chars:
-            if not chi.is_primitive():
-                raise ValueError("explicit character sets must be primitive")
-            if not chi.is_even:
-                raise ValueError("field spec characters must be even")
-        if not _is_group(chars):
-            # name the first failure in set order, as the full scan over all
-            # products would: a missing inverse before a missing product
-            for chi in chars:
-                if chi.inverse() not in chars:
-                    raise ValueError("character set not closed under inversion")
-                if any(chi * psi not in chars for psi in chars):
-                    raise ValueError("character set not closed under products")
-        return FieldSpec("explicit", explicit_chars=chars)
+        if not all(chi.is_primitive() for chi in chars):
+            raise ValueError("explicit character sets must be primitive")
+        if not all(chi.is_even for chi in chars):
+            raise ValueError("field spec characters must be even")
+        spec = FieldSpec("explicit", explicit_chars=chars)
+        group, tuples = spec._tuples
+        orders = tuple(o for _, o in group.generators)
+        members = set(tuples)
+        if any(tuple(-e % o for e, o in zip(x, orders)) not in members for x in tuples):
+            raise ValueError("character set not closed under inversion")
+        if not _is_group(tuples, orders):
+            raise ValueError("character set not closed under products")
+        return spec
 
     @functools.cached_property
-    def orbits(self) -> tuple:
-        """The Galois orbits {chi**a : gcd(a, ord chi) = 1} of the nontrivial
-        characters of X_F, as (primitive representative, orbit size
-        phi(ord chi)) pairs in the representatives' sort order, so that the
-        orbits of one conductor come together.
+    def _tuples(self) -> tuple[UnitGroupStructure, list]:
+        """X_F as exponent tuples on one unit group.
 
-        X_F is the group of even characters killed by the group exponent of
-        (Z/m)^* (real-cyclotomic), by its p-part (max-p), or by p
-        (prime-cyclic).  Its orbits are walked on exponent tuples mod m, and
-        only the representatives are made characters.  An explicit spec's
-        characters are walked on their primitive exponent tuples, one
-        modulus at a time.
+        For the enumerated kinds, the even characters mod m killed by the
+        group exponent of (Z/m)^* (real-cyclotomic), by its p-part (max-p),
+        or by p (prime-cyclic).  For an explicit spec, its characters in sort
+        order, lifted to the lcm of their moduli; a hand-built one is scanned
+        for odd characters here, once.
         """
         if self.kind == "explicit":
-            by_modulus: dict[int, list] = {}
-            for chi in sorted(self.explicit_chars, key=DirichletCharacter.sort_key):
-                by_modulus.setdefault(chi.modulus, []).append(chi)
-            return tuple(
-                (chars[i], size)
-                for chars in by_modulus.values()
-                for i, size in _orbit_walk(
-                    [chi.exponents for chi in chars],
-                    tuple(o for _, o in chars[0].group.generators),
-                )
-            )
+            chars = sorted(self.explicit_chars, key=DirichletCharacter.sort_key)
+            if not all(chi.is_even for chi in chars):
+                raise ValueError("field is not totally real (odd character present)")
+            m = math.lcm(*(chi.modulus for chi in chars))
+            return unit_group(m), [chi.lift_to(m).exponents for chi in chars]
         group = unit_group(self.m)
         exponent = group.exponent
         if self.kind == "max-p":
@@ -428,7 +418,19 @@ class FieldSpec:
             exponent = self.p
         elif self.kind != "real-cyclotomic":
             raise ValueError("unknown field spec kind %r" % (self.kind,))
-        tuples = list(_even_exponents(group, exponent))
+        return group, list(_even_exponents(group, exponent))
+
+    @functools.cached_property
+    def orbits(self) -> tuple:
+        """The Galois orbits {chi**a : gcd(a, ord chi) = 1} of the nontrivial
+        characters of X_F, as (primitive representative, orbit size
+        phi(ord chi)) pairs in the representatives' sort order, so that the
+        orbits of one conductor come together.
+
+        The orbits are walked on the exponent tuples of _tuples, and only
+        the representatives are made characters.
+        """
+        group, tuples = self._tuples
         orders = tuple(o for _, o in group.generators)
         reps = [
             (DirichletCharacter(group, tuples[i]).primitive(), size)
@@ -440,8 +442,6 @@ class FieldSpec:
     def characters(self) -> frozenset:
         """The character group X_F as primitive even characters: the trivial
         one and the conjugates chi**a of each representative in orbits."""
-        if self.kind == "explicit":
-            return self.explicit_chars
         chars = [trivial_character()]
         for chi, _ in self.orbits:
             d, group, exps = chi.order, chi.group, chi.exponents
@@ -451,13 +451,6 @@ class FieldSpec:
                 if math.gcd(a, d) == 1
             )
         return frozenset(chars)
-
-    def require_totally_real(self) -> None:
-        """Raise ValueError if X_F holds an odd character.  Only a hand-built
-        explicit spec can: the other kinds enumerate even characters, and
-        FieldSpec.explicit refuses odd ones."""
-        if self.kind == "explicit" and not all(chi.is_even for chi in self.explicit_chars):
-            raise ValueError("field is not totally real (odd character present)")
 
     def sorted_characters(self) -> list:
         return sorted(self.characters, key=lambda c: c.sort_key())
@@ -538,27 +531,33 @@ def _orbit_walk(tuples: list, orders: tuple) -> list[tuple[int, int]]:
     return out
 
 
-def _is_group(chars: frozenset) -> bool:
-    """Whether a nonempty set of characters is closed under products.
+def _is_group(tuples: list, orders: tuple) -> bool:
+    """Whether a nonempty list of distinct exponent tuples is closed under
+    addition modulo the generator orders.
 
-    The characters that, in sort order, are not yet in the subgroup H
-    generated by those before them form a generating set G of <chars>; each
-    at least doubles H, so there are at most log2 |chars| of them.  If
-    chars * g lies in chars for every g in G, multiplying by g permutes the
-    finite set, so chars * <G> = chars, and chars, a subset of <G> that holds
-    a coset of it, is <G> itself.  That takes |chars| * (|G| + 1) products
-    instead of |chars|**2.
+    The tuples that, in list order, are not yet in the subgroup H generated
+    by those before them form a generating set G of <tuples>; each at least
+    doubles H, so there are at most log2 |tuples| of them.  If tuples + g
+    lies in the set for every g in G, adding g permutes the finite set, so
+    tuples + <G> = tuples, and the set, a subset of <G> that holds a coset
+    of it, is <G> itself.  That takes |tuples| * (|G| + 1) sums instead of
+    |tuples|**2.
     """
-    group = {trivial_character()}
-    for g in sorted(chars, key=DirichletCharacter.sort_key):
+    members = set(tuples)
+
+    def add(x, y):
+        return tuple((a + b) % o for a, b, o in zip(x, y, orders))
+
+    group = {tuple(0 for _ in orders)}
+    for g in tuples:
         if g in group:
             continue
-        if any(chi * g not in chars for chi in chars):
+        if any(add(x, g) not in members for x in tuples):
             return False
         grown, power = set(group), g
-        while power not in group:  # group * <g>, one coset per power of g
-            grown.update(h * power for h in group)
-            power = power * g
+        while power not in group:  # H + <g>, one coset per multiple of g
+            grown.update(add(h, power) for h in group)
+            power = add(power, g)
         group = grown
     return True
 

@@ -56,7 +56,6 @@ def w_invariant(spec: FieldSpec, j: int) -> int:
     """
     if not isinstance(j, int) or j < 1:
         raise ValueError("j must be an integer >= 1, got %r" % (j,))
-    spec.require_totally_real()
     conductors = collections.Counter({1: 1})  # the trivial character
     for chi, size in spec.orbits:  # conjugates share a conductor
         conductors[chi.conductor] += size

@@ -402,7 +402,6 @@ def zeta_value_negative(spec: FieldSpec, k: int) -> Fraction:
     one Fraction at the end reduces what the orbits share.
     """
     _require_odd_k(k)
-    spec.require_totally_real()
     n = k + 1
     b = bernoulli_number(n)
     num, den = -b.numerator, b.denominator * n

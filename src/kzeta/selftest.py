@@ -186,21 +186,18 @@ def powersum_identity_checks(max_n: int = 60, max_m: int = 50) -> list[CheckResu
     return [_summary(label, bad, "all equal", 4)]
 
 
-def powersum_suite_checks(max_n: int = 100) -> list[CheckResult]:
-    out = []
-    out += powersum_identity_checks(min(max_n, 60), 50)
-    out += vsc_checks(max_n)
-    out += dn_checks(max_n)
-    out += fn_checks(max_n)
-    return out
+# Largest prime conductor of the criterion agreement check, and the x of the
+# prime-density check.
+_BROWKIN_LIMIT = 100
+_DENSITY_X = 200000
 
 
-def browkin_smoke_checks(limit: int = 100) -> list[CheckResult]:
+def browkin_smoke_checks() -> list[CheckResult]:
     """Three routes to p | #K_{2(p-2)} for prime conductors must agree."""
     bad = []
     count = 0
     for p in (3, 5, 7):
-        for ell in primes_up_to(limit):
+        for ell in primes_up_to(_BROWKIN_LIMIT):
             if ell % p != 1:
                 continue
             count += 1
@@ -211,7 +208,7 @@ def browkin_smoke_checks(limit: int = 100) -> list[CheckResult]:
             by_order = k_order(spec, p - 2, factor=False).order % p == 0
             if not (by_criterion == by_valuation == by_order):
                 bad.append((p, ell, by_criterion, by_valuation, by_order))
-    label = "divisibility criterion agreement, conductors <= %d" % limit
+    label = "divisibility criterion agreement, conductors <= %d" % _BROWKIN_LIMIT
     result = _summary(label, bad, "%d conductors agree" % count)
     return [result if count else dataclasses.replace(result, ok=False)]  # nothing compared
 
@@ -285,14 +282,14 @@ def congruence_checks() -> list[CheckResult]:
     return out
 
 
-def density_checks(x: int = 200000) -> list[CheckResult]:
+def density_checks() -> list[CheckResult]:
     out = []
     for p in (3, 5):
-        rep = browkin_density(p, x)
+        rep = browkin_density(p, _DENSITY_X)
         close = abs(rep.ratio - Fraction(1, p)) < Fraction(5, 100)
         out.append(
             _check(
-                "prime density ratio near 1/%d at x = %d" % (p, x),
+                "prime density ratio near 1/%d at x = %d" % (p, _DENSITY_X),
                 close,
                 "n_p = %d, n_p2 = %d, ratio = %s" % (rep.n_p, rep.n_p2, rep.ratio),
             )
@@ -307,8 +304,9 @@ def run_selftest(level: str = "quick", seed: int | None = None) -> list[CheckRes
         raise ValueError("level must be 'quick' or 'full', got %r" % (level,))
     results = korder_table_checks(level, seed=seed)
     if level == "full":
-        results += powersum_suite_checks(100)
-        results += browkin_smoke_checks(100)
+        results += powersum_identity_checks(60, 50)
+        results += vsc_checks(100) + dn_checks(100) + fn_checks(100)
+        results += browkin_smoke_checks()
         results += bound_checks()
         results += congruence_checks()
         results += density_checks()

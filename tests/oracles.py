@@ -19,8 +19,10 @@ tiered by size: all twelve witnesses for every n below 2**64.
 
 The library walks the Galois orbits of a field's characters on exponent
 tuples (FieldSpec.orbits) and tests an explicit character set for closure
+on the same tuples, lifted to one modulus: negations first, then sums
 through a generating set.  galois_orbits builds every conjugate chi**a as a
-character instead, and closure_error tries all n**2 products.
+character instead, and closure_error multiplies characters: it names a
+missing inverse first and then tries all n**2 products.
 
 The library keeps each Galois orbit's product of B_{n,chi^a} as two
 integers, the norm N and the scale (f*D)^phi(d), divided by their gcd, and
@@ -193,14 +195,12 @@ def galois_orbits(chars):
 
 
 def closure_error(chars):
-    """The first failure of closure met in set order, a missing inverse
-    before a missing product, from all n**2 products; None for a group."""
-    for chi in chars:
-        if chi.inverse() not in chars:
-            return "character set not closed under inversion"
-        for psi in chars:
-            if (chi * psi) not in chars:
-                return "character set not closed under products"
+    """A missing inverse if any character lacks one, otherwise a missing
+    product from all n**2 products; None for a group."""
+    if any(chi.inverse() not in chars for chi in chars):
+        return "character set not closed under inversion"
+    if any(chi * psi not in chars for chi in chars for psi in chars):
+        return "character set not closed under products"
     return None
 
 

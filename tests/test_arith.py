@@ -629,47 +629,6 @@ def test_cyclotomic_product_identity():
         assert prod == x**n - 1, n
 
 
-def sylvester_det(f, g):
-    # independent resultant: fraction-based Gaussian elimination on the
-    # Sylvester matrix of f and g
-    m, n = f.degree, g.degree
-    size = m + n
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in fc] + [Fraction(0)] * (n - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + [Fraction(c) for c in gc] + [Fraction(0)] * (m - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                for c in range(col, size):
-                    rows[r][c] -= factor * rows[col][c]
-    assert det.denominator == 1
-    return int(det)
-
-
-def test_resultant_against_sylvester_determinant():
-    rng = random.Random(23)
-    for _ in range(60):
-        f = Poly([rng.randrange(-10, 11) for _ in range(rng.randrange(2, 7))])
-        g = Poly([rng.randrange(-10, 11) for _ in range(rng.randrange(2, 6))])
-        if f.degree < 1 or g.degree < 1:
-            continue
-        assert resultant(f, g) == sylvester_det(f, g)
-
-
 def test_resultant_known_values():
     x = Poly.x()
     assert resultant(x**2 + 1, x**2 - 2) == 9

@@ -2,12 +2,16 @@
 descriptions."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kzeta
 from kzeta.arith import is_prime
 from kzeta.characters import (
     DirichletCharacter,
@@ -474,11 +478,48 @@ def test_explicit_closure_check_matches_full_scan(spec, m2, data):
         assert str(err.value) == message
 
 
+_SET_ORDER_PROBE = """
+from kzeta.characters import DirichletCharacter, FieldSpec, unit_group
+for chars in (
+    [DirichletCharacter(unit_group(7), (2,)), DirichletCharacter(unit_group(5), (2,))],
+    [DirichletCharacter(unit_group(21), (0, 2)), DirichletCharacter(unit_group(7), (1,))],
+):
+    try:
+        FieldSpec.explicit(chars)
+    except ValueError as err:
+        print(err)
+"""
+
+
+def test_explicit_messages_do_not_follow_set_order():
+    # a frozenset of characters iterates in an order set by PYTHONHASHSEED;
+    # {cubic mod 7, quadratic mod 5} lacks inverses and products, and
+    # {even mod 21 induced from 7, odd sextic mod 7} is neither primitive
+    # nor even, and each must name the same failure under every seed
+    src = os.path.dirname(os.path.dirname(kzeta.__file__))
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _SET_ORDER_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.add(run.stdout)
+    assert outputs == {
+        "character set not closed under inversion\n"
+        "explicit character sets must be primitive\n"
+    }
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(MODULI, st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 60]))
 def test_enumerated_characters_are_even(m, exponent):
-    # FieldSpec.require_totally_real trusts the constructed kinds to be even,
-    # so check chi(-1) = 1 by the value oracle, not by is_even
+    # FieldSpec scans only explicit specs for parity and trusts the
+    # constructed kinds to be even, so check chi(-1) = 1 by the value
+    # oracle, not by is_even
     g = unit_group(m)
     chars = [DirichletCharacter(g, x).primitive() for x in _even_exponents(g, exponent)]
     assert chars

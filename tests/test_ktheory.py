@@ -231,25 +231,30 @@ def test_k_order_input_validation():
 
 
 def test_constructed_specs_skip_the_parity_scan(monkeypatch):
-    # only an explicit spec can hold an odd character, so only it is scanned
+    # the constructed kinds enumerate even exponent tuples; only a hand-built
+    # explicit spec can hold an odd character, and building its tuples scans
+    # each character once
+    chars = FieldSpec.prime_cyclic_subfield(4621, 5).characters
+    calls = []
+    monkeypatch.setattr(
+        DirichletCharacter, "is_even", property(lambda chi: calls.append(chi) or True)
+    )
     specs = [
         FieldSpec.real_cyclotomic(4620),
         FieldSpec.max_p_subextension(4620, 5),
         FieldSpec.prime_cyclic_subfield(4621, 5),
     ]
     for spec in specs:
-        spec.characters
-    calls = []
-    monkeypatch.setattr(
-        DirichletCharacter, "is_even", property(lambda chi: calls.append(chi) or True)
-    )
-    for spec in specs:
-        spec.require_totally_real()
+        spec.orbits
         w_invariant(spec, 2)
     assert calls == []
-    explicit = FieldSpec("explicit", explicit_chars=specs[2].characters)
-    explicit.require_totally_real()
-    assert len(calls) == 5
+    explicit = FieldSpec("explicit", explicit_chars=chars)
+    explicit.orbits
+    w_invariant(explicit, 2)
+    assert len(chars) == 5
+    assert sorted(calls, key=DirichletCharacter.sort_key) == sorted(
+        chars, key=DirichletCharacter.sort_key
+    )
 
 
 def test_k_order_integrality_sweep():
