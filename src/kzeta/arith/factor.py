@@ -1,20 +1,23 @@
 """Integer primality and factorization: trial division, Miller-Rabin,
-Pollard rho and the elliptic-curve method.
+Pollard rho, Pollard p - 1 and the elliptic-curve method.
 
 Primality is deterministic below 2**64, by the fewest fixed Miller-Rabin
 bases known to suffice for the size of n, and strongly probabilistic above.
 Factorization is exact: the returned multiset always multiplies back to the
 input, and every factor reported prime has passed the primality test.  It
-runs three stages.  Trial division tests blocks of small primes at once by
+runs four stages.  Trial division tests blocks of small primes at once by
 a gcd with their product, and stops early once a cofactor below 2**64 is
 prime, or composite and too large for the walk to finish.  Brent's rho then
 gets a fixed number of steps per composite, which splits off factors of up
 to about 7 digits.  Lenstra's elliptic-curve method takes the composites rho
 leaves: rho's cost grows as the square root of the factor it finds, the
 curves' cost only subexponentially in that factor's size.  A short pretest
-of cheap curves comes first, then curves with stage-1 bound 10**5.  Rho and
-every curve draw their parameters from one generator seeded by the caller,
-so a seed fixes the work done; the factorization does not depend on it.
+of cheap curves comes first, then curves with stage-1 bound 10**5.  Between
+the two, Pollard's p - 1 gets one try per composite: it finds, in tens of
+milliseconds, any prime p whose p - 1 is smooth, whatever its size, where
+one curve at 10**5 costs 0.3 s or more.  Rho and every curve draw their
+parameters from one generator seeded by the caller, so a seed fixes the work
+done; p - 1 draws nothing, and the factorization does not depend on the seed.
 Primes = 1 (mod q) up to x are counted by a segmented sieve of the odd
 numbers = 1 (mod q) alone, in memory O(sqrt(x)) and time about x/q.  The
 survivors of each segment are counted by zlib's Adler-32 checksum, whose low
@@ -22,6 +25,7 @@ survivors of each segment are counted by zlib's Adler-32 checksum, whose low
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -63,13 +67,23 @@ _ECM_B2 = 50
 _ECM_D = 210
 _ECM_CHUNK_BITS = 4096  # bits of the stage-1 multiplier per ladder, one gcd each
 _ECM_BLOCK = 256  # giant steps of stage 2 held at once, with one gcd
+# Pollard p - 1, once per composite between the pretest and the first curve at
+# the trial bound: stage 1 to _PM1_B1, then stage 2 over the primes up to
+# _PM1_B2 in giant steps of _PM1_D, one gcd per _PM1_BLOCK giant steps.
+_PM1_B1 = 20000
+_PM1_B2 = 10**6
+_PM1_D = 2310
+_PM1_BLOCK = 16
+_PM1_SEGMENT = 64  # giant steps per segment of the sieve behind _pm1_plan
 
 # Module globals rather than lru_cache: the tables are fixed for the process,
 # and emptying the caches of kzeta must not make the next call rebuild them.
 _small_primes: list[int] | None = None
 _trial_blocks: list[tuple[int, list[int]]] | None = None
-# b1 -> _stage1_chunks(b1); factorize asks for the _ECM_PRETEST + 1 bounds of _ecm_bounds()
+# b1 -> _stage1_chunks(b1); factorize asks for the _ECM_PRETEST + 1 bounds of
+# _ecm_bounds() and for _PM1_B1
 _stage1_tables: dict[int, tuple[int, ...]] = {}
+_pm1_stage2: tuple[int, tuple[bytes, ...]] | None = None  # _pm1_plan()
 
 
 def small_primes() -> list[int]:
@@ -429,6 +443,113 @@ def _ecm_curve(n: int, sigma: int, b1: int, b2: int) -> int:
     return 1
 
 
+def _pm1_plan() -> tuple[int, tuple[bytes, ...]]:
+    """Stage 2 of _pminus1 as (m0, rows).  Row i lists, as indices into the
+    odd j < D/2 prime to D = _PM1_D in ascending order, the j for which
+    (m0 + i)*D - j or (m0 + i)*D + j is a prime in (_PM1_B1, _PM1_B2]; each
+    such prime q is one of these, with m = round(q/D).  Built once and kept
+    for the life of the process: one bytes row per giant step, about 62 KB in
+    all, and no list of the primes up to _PM1_B2.
+
+    The primes come from a sieve of the odd numbers in segments of
+    _PM1_SEGMENT giant steps, under 128 KB each: glibc serves larger blocks
+    by mmap and, once one is freed, raises its mmap threshold for the rest of
+    the process; after one sieve of the whole range, unrelated code that
+    allocates such blocks ran about 8% faster for the rest of the process.
+
+    >>> m0, rows = _pm1_plan()  # 76236 primes in (20000, 10**6]
+    >>> m0, len(rows), sum(map(len, rows))
+    (9, 425, 61993)
+    """
+    global _pm1_stage2
+    if _pm1_stage2 is None:
+        D, half = _PM1_D, _PM1_D // 2
+        nt = half // 2  # the odd j < D/2 are j = 2t + 1, t < nt
+        m0 = (_PM1_B1 + 1 + half) // D
+        m1 = (_PM1_B2 + half) // D
+        index = bytearray(nt)
+        for b, j in enumerate(j for j in range(1, half, 2) if math.gcd(j, D) == 1):
+            index[j // 2] = b
+        # 2i + 1 is in (_PM1_B1, _PM1_B2] exactly when first <= i < last
+        first, last = (_PM1_B1 + 1) // 2, (_PM1_B2 + 1) // 2
+        ps = small_primes()
+        odd_primes = ps[1 : bisect.bisect(ps, math.isqrt(_PM1_B2))]
+        rows = []
+        for start in range(m0, m1 + 1, _PM1_SEGMENT):
+            ms = range(start, min(start + _PM1_SEGMENT, m1 + 1))
+            # seg[i - lo] = 1 when 2i + 1 is a prime in (_PM1_B1, _PM1_B2]; at
+            # giant step m, mD + j is 2i + 1 for i = mD/2 + t and mD - j for
+            # i = mD/2 - 1 - t.  A j not prime to D never meets a prime here.
+            lo, hi = ms[0] * D // 2 - nt, ms[-1] * D // 2 + nt
+            seg = bytearray([1]) * (hi - lo)
+            for p in odd_primes:
+                i = max(p * p // 2, lo + (p * p // 2 - lo) % p) - lo  # 2(lo + i) + 1 = 0 mod p
+                seg[i::p] = bytes(len(range(i, hi - lo, p)))
+            a = min(max(first - lo, 0), hi - lo)
+            b = min(max(last - lo, 0), hi - lo)
+            seg[:a] = bytes(a)
+            seg[b:] = bytes(hi - lo - b)
+            for m in ms:
+                c = m * D // 2 - lo
+                hit = int.from_bytes(seg[c - nt : c][::-1]) | int.from_bytes(seg[c : c + nt])
+                rows.append(bytes(itertools.compress(index, hit.to_bytes(nt))))
+        _pm1_stage2 = (m0, tuple(rows))
+    return _pm1_stage2
+
+
+def _pminus1(n: int) -> int:
+    """gcd of n with what Pollard's p - 1 method leaves: 1 when it finds
+    nothing, n when it finds every prime of n at once, else a proper divisor.
+
+    Pollard, Proc. Cambridge Philos. Soc. 76 (1974).  Stage 1 raises x = 3 to
+    the prime powers up to _PM1_B1, one pow and one gcd per chunk of the
+    multiplier E (_stage1_chunks), and finds p when the order of 3 mod p
+    divides E, as it does when p - 1 is _PM1_B1-powersmooth.  Stage 2 finds
+    p when the order of x = 3^E mod p is a prime q in (_PM1_B1, _PM1_B2], as
+    when p - 1 is such a q times a powersmooth number; it uses the pairing
+    of Montgomery (Math. Comp. 48 (1987)): with V_k = x^k + x^-k,
+    V_mD - V_j = x^-mD (x^(mD-j) - 1)(x^(mD+j) - 1), so one product over
+    the pairs of _pm1_plan() covers q = mD - j and q = mD + j.  The V are
+    stepped by V_(a+b) = V_a V_b - V_(a-b).  Stage 2 takes one gcd per
+    _PM1_BLOCK giant steps.  No random draws.
+
+    >>> p = 16673514445457  # p - 1 = 2^4 * 11 * 23 * 73 * 107 * 527327
+    >>> _pminus1(p * 77071163692043863104779051635544803) == p
+    True
+    """
+    x = 3
+    for k in _stage1_chunks(_PM1_B1):
+        x = pow(x, k, n)
+        g = math.gcd(x - 1, n)
+        if g != 1:
+            return g
+    m0, rows = _pm1_plan()
+    D = _PM1_D
+    inv = pow(x, -1, n)
+    v2 = (x * x + inv * inv) % n
+    # baby steps V_j, odd j < D/2 prime to D, by V_(j+2) = V_2 V_j - V_(j-2)
+    baby = []
+    prev = cur = (x + inv) % n  # V_-1 = V_1
+    for j in range(1, D // 2, 2):
+        if math.gcd(j, D) == 1:
+            baby.append(cur)
+        prev, cur = cur, (v2 * cur - prev) % n
+    # giant steps V_mD from m = m0, by V_(m+1)D = V_D V_mD - V_(m-1)D
+    vd = (pow(x, D, n) + pow(inv, D, n)) % n
+    prev = (pow(x, (m0 - 1) * D, n) + pow(inv, (m0 - 1) * D, n)) % n
+    cur = (pow(x, m0 * D, n) + pow(inv, m0 * D, n)) % n
+    acc = 1
+    for start in range(0, len(rows), _PM1_BLOCK):
+        for row in rows[start : start + _PM1_BLOCK]:
+            for b in row:
+                acc = acc * (cur - baby[b]) % n
+            prev, cur = cur, (vd * cur - prev) % n
+        g = math.gcd(acc, n)
+        if g != 1:
+            return g
+    return 1
+
+
 def _ecm_bounds():
     """Stage-1 bounds of successive curves: the pretest's, growing from
     _ECM_B1, then the trial bound for good."""
@@ -437,38 +558,52 @@ def _ecm_bounds():
     yield from itertools.repeat(_TRIAL_BOUND)
 
 
-def _ecm(n: int, rng: random.Random, b1s) -> int:
-    """A nontrivial factor of composite n (not necessarily prime), by
-    Lenstra's elliptic-curve method (Ann. Math. 126 (1987)).
+def _ecm(n: int, rng: random.Random, b1s, pm1: bool) -> tuple[int, bool]:
+    """(d, pm1'): d a nontrivial factor of composite n (not necessarily
+    prime), by Lenstra's elliptic-curve method (Ann. Math. 126 (1987)), and
+    pm1' whether _pminus1 may still try d and n/d.
 
     Each curve takes its stage-1 bound b1 from the iterator b1s, shared by
     every composite of one factorization, and its sigma from rng, and runs
-    stage 2 to _ECM_B2 * b1.  n must be composite and free of the primes of
-    the first trial block.
+    stage 2 to _ECM_B2 * b1.  When pm1 is set, _pminus1 runs once before the
+    first curve at the trial bound; where it fails on n it fails on every
+    divisor of n too, since whether it finds a prime depends on that prime
+    alone.  n must be composite and free of the primes of the first trial
+    block.
     """
     while True:
         b1 = next(b1s)
+        if pm1 and b1 == _TRIAL_BOUND:
+            g = _pminus1(n)
+            if g != 1 and g != n:
+                return g, True
+            pm1 = False
         g = _ecm_curve(n, rng.randrange(6, n - 1), b1, _ECM_B2 * b1)
         if g != 1 and g != n:
-            return g
+            return g, pm1
 
 
 def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     """Factor n >= 1 into a sorted list of (prime, exponent) pairs.
 
-    Three stages: trial division by the primes below the trial bound, then
+    Four stages: trial division by the primes below the trial bound, then
     Brent's rho on each composite left, stopped after _RHO_CAP steps, then
-    the elliptic-curve method on the composites rho leaves.  The curves
-    share one schedule of stage-1 bounds: a pretest of _ECM_PRETEST curves
-    whose bound grows from _ECM_B1 by _ECM_GROWTH per curve mostly finds
-    factors of up to about 13 digits in a few hundredths of a second, and every
-    later curve runs at the trial bound, 10**5, which costs 0.3 s or more
-    per curve and suits factors of about 14 to 25 digits.
+    the elliptic-curve method on the composites rho leaves, with Pollard's
+    p - 1 inside it.  The curves share one schedule of stage-1 bounds: a
+    pretest of _ECM_PRETEST curves whose bound grows from _ECM_B1 by
+    _ECM_GROWTH per curve mostly finds factors of up to about 13 digits in
+    a few hundredths of a second, and every later curve runs at the trial
+    bound, 10**5, which costs 0.3 s or more per curve and suits factors of
+    about 14 to 25 digits.  A composite that reaches the first such curve
+    first gets one run of p - 1, with bounds _PM1_B1 = 20000 and
+    _PM1_B2 = 10**6, unless p - 1 already failed on a multiple of it; it
+    splits off any prime p whose p - 1 is 20000-powersmooth times one prime
+    up to 10**6, at any size, in tens of milliseconds.
     Rho's parameters and every curve's sigma come from one generator
     seeded by seed (default 0xD1CE), so the work done is fixed for a fixed
-    seed; the result, the unique factorization, is the same for every
-    seed.  The generator is built only when rho runs or a cofactor above
-    2**64 is tested for primality.
+    seed; p - 1 is seed-free, and the result, the unique factorization, is
+    the same for every seed.  The generator is built only when rho runs or
+    a cofactor above 2**64 is tested for primality.
 
     Trial division always walks the first block, the primes up to 311.
     From the next block on it tests each new cofactor below 2**64 once: a
@@ -518,9 +653,10 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
                 if g == 1:
                     break
     b1s = None  # one schedule of stage-1 bounds for every composite ECM gets
-    stack = [(n, True)] if n > 1 else []  # (cofactor, whether rho may try it)
+    # (cofactor, whether rho may try it, whether p - 1 may)
+    stack = [(n, True, True)] if n > 1 else []
     while stack:
-        m, rho = stack.pop()
+        m, rho, pm1 = stack.pop()
         # a cofactor the walk tested and left over is composite
         if m != tested and is_prime(m, seeded() if m >= _DETERMINISTIC_BOUND else None):
             factors[m] = factors.get(m, 0) + 1
@@ -528,8 +664,8 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
         d = _pollard_rho(m, seeded()) if rho else None
         if d is None:
             b1s = b1s or _ecm_bounds()
-            d, rho = _ecm(m, seeded(), b1s), False
-        stack += [(d, rho), (m // d, rho)]
+            (d, pm1), rho = _ecm(m, seeded(), b1s, pm1), False
+        stack += [(d, rho, pm1), (m // d, rho, pm1)]
     return sorted(factors.items())
 
 

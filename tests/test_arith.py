@@ -2,9 +2,12 @@
 values in prime-power cyclotomic fields."""
 
 import bisect
+import contextlib
 import functools
+import hashlib
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -27,6 +30,8 @@ from kzeta.arith import (
 )
 from kzeta.arith import factor
 from kzeta.arith.factor import (
+    _PM1_B1,
+    _PM1_B2,
     _SEGMENT,
     _TRIAL_BLOCK,
     _count_ones,
@@ -454,16 +459,34 @@ def counting_random(monkeypatch):
     return built
 
 
+def recording_pminus1(patch):
+    """Record the arguments of _pminus1, and empty its stage-2 table for the
+    test; patch is a pytest MonkeyPatch."""
+    calls = []
+    pminus1 = factor._pminus1
+
+    def recording(n):
+        calls.append(n)
+        return pminus1(n)
+
+    patch.setattr(factor, "_pminus1", recording)
+    patch.setattr(factor, "_pm1_stage2", None)
+    return calls
+
+
 def test_factorize_builds_no_generator_below_trial_square(monkeypatch):
-    # below 10**10 the cofactor left by trial division is 1 or prime
+    # below 10**10 the cofactor left by trial division is 1 or prime, so
+    # neither rho nor p - 1 runs
     rng = random.Random(11)
     samples = [1, 2, 97 * 99991, 99991**2 - 2, 9999999967, 9999999999]
     samples += [rng.randrange(2, 10**10) for _ in range(200)]
     built = counting_random(monkeypatch)
+    calls = recording_pminus1(monkeypatch)
     for n in samples:
         factorize(n)
         factorize(n, seed=5)
     assert built == []
+    assert calls == [] and factor._pm1_stage2 is None
 
 
 def test_factorize_builds_its_generator_once(monkeypatch):
@@ -474,9 +497,11 @@ def test_factorize_builds_its_generator_once(monkeypatch):
     assert built == [(3,)]
 
 
-def test_rho_splits_stats_semiprimes_before_its_cap():
+def test_rho_splits_stats_semiprimes_before_its_cap(monkeypatch):
     # products of two 6-digit primes, the semiprimes of the stats workload,
-    # stay with rho: it needs at most 4094 steps on them, half of _RHO_CAP
+    # stay with rho: it needs at most 4094 steps on them, half of _RHO_CAP,
+    # and factorize neither tries p - 1 on them nor builds its table
+    calls = recording_pminus1(monkeypatch)
     rng = random.Random(29)
     for _ in range(40):
         p = q = 1
@@ -485,6 +510,8 @@ def test_rho_splits_stats_semiprimes_before_its_cap():
         while not is_prime(q) or q == p:
             q = rng.randrange(10**5, 10**6)
         assert factor._pollard_rho(p * q, random.Random(0xD1CE)) in (p, q)
+        assert factorize(p * q) == sorted([(p, 1), (q, 1)])
+    assert calls == [] and factor._pm1_stage2 is None
 
 
 def test_rho_gives_up_at_its_cap():
@@ -522,25 +549,167 @@ def test_factorize_splits_products_of_large_primes(primes):
         assert factorize(n, seed=seed) == [(p, 1) for p in primes]
 
 
-# Full factorizations of #K_14 of Q(zeta_17)^+ and #K_6 of Q(zeta_37)^+,
-# checked once against sympy.factorint.
+# Full factorizations of #K_14 of Q(zeta_17)^+, #K_10 of Q(zeta_23)^+ and
+# #K_6 of Q(zeta_37)^+, checked once against sympy.factorint.
 KORDER_FACTORS = {
     (17, 7): [(2, 3), (5, 1), (19, 1), (137, 1), (241, 1), (2753, 1), (78241, 1),
               (1576363, 1), (1222730300837, 1), (10676097582233, 1)],
+    (23, 5): [(2, 11), (11, 1), (16673514445457, 1), (77071163692043863104779051635544803, 1)],
     (37, 3): [(3, 2), (7, 1), (37, 1), (109, 1), (1129, 1), (18919, 1), (211153, 1),
               (433513, 1), (15091399, 1), (61486126381, 1), (1350582605839, 1)],
 }
 
 
-@pytest.mark.parametrize("m,k", sorted(KORDER_FACTORS))
-def test_factorize_korder_pins(m, k):
+def korder_order(m, k):
     from kzeta.characters import FieldSpec
     from kzeta.ktheory import k_order
 
-    order = k_order(FieldSpec.real_cyclotomic(m), k, factor=False).order
+    return k_order(FieldSpec.real_cyclotomic(m), k, factor=False).order
+
+
+@pytest.mark.parametrize("m,k", sorted(KORDER_FACTORS))
+def test_factorize_korder_pins(m, k):
+    order = korder_order(m, k)
     want = KORDER_FACTORS[m, k]
     assert math.prod(p**e for p, e in want) == order
     assert factorize(order) == want
+
+
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in the enclosed code after seconds of wall time."""
+
+    def fire(signum, frame):
+        raise TimeoutError("over %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_p_minus_1_factors_the_order_at_23_5_quickly():
+    # 16673514445457 - 1 = 2^4 * 11 * 23 * 73 * 107 * 527327: stage 2 of
+    # p - 1 finds it right after the pretest; the curves at B1 = 10**5 that
+    # follow took over 2 s
+    order = korder_order(23, 5)
+    with alarm(0.5):
+        assert factorize(order) == KORDER_FACTORS[23, 5]
+
+
+# randrange calls of factorize at the default seed on the orders that ECM
+# splits in its pretest, as recorded before p - 1 was added: (count, sha256
+# of the repr of the list of argument tuples)
+PRETEST_DRAWS = {
+    (19, 5): (11, "d953f37d4219d8897b74e28c508eeb5704ce9703d702dd59322d3518e24aa5b2"),
+    (19, 7): (30, "3d2d495e8beb31d25750481759cb6d5c4389c90d136cc036b6648975f04ddf77"),
+    (37, 3): (21, "b522b2ba19b7d55923c4f9e43de49bdcba43131978e47d7a24edc9aaa947c079"),
+}
+
+
+@pytest.mark.parametrize("m,k", sorted(PRETEST_DRAWS))
+def test_p_minus_1_leaves_the_pretests_draws_alone(monkeypatch, m, k):
+    order = korder_order(m, k)
+    recorders = []
+
+    def recording(*args):
+        recorders.append(RecordingRandom(*args))
+        return recorders[-1]
+
+    monkeypatch.setattr(factor.random, "Random", recording)
+    monkeypatch.setattr(factor, "_pminus1", lambda n: pytest.fail("p - 1 ran"))
+    fac = factorize(order)
+    assert math.prod(p**e for p, e in fac) == order
+    (rng,) = recorders
+    digest = hashlib.sha256(repr(rng.calls).encode()).hexdigest()
+    assert (len(rng.calls), digest) == PRETEST_DRAWS[m, k]
+
+
+def _prime_after(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def pminus1_primes(draw, stage2=True, size=5):
+    """A prime p = 1 + 2*s*q, s a product of 1 to size distinct odd primes
+    below _PM1_B1 and q a prime not dividing s: in (_PM1_B1, _PM1_B2] with 3
+    of order divisible by q mod p when stage2 is set, else below _PM1_B1."""
+    odd = primes_up_to(_PM1_B1)[1:]
+    s = math.prod(draw(st.lists(st.sampled_from(odd), min_size=1, max_size=size, unique=True)))
+    lo, hi = (_PM1_B1 + 1, _PM1_B2) if stage2 else (3, _PM1_B1)
+    q = _prime_after(draw(st.integers(lo, hi)))
+    while True:
+        if q > hi:
+            q = _prime_after(lo)
+        p = 1 + 2 * s * q
+        if s % q and is_prime(p) and not (stage2 and pow(3, (p - 1) // q, p) == 1):
+            return p
+        q = _prime_after(q + 1)
+
+
+@st.composite
+def big_primes(draw):
+    """A prime of 20 to 30 digits."""
+    digits = draw(st.integers(20, 30))
+    return _prime_after(draw(st.integers(10 ** (digits - 1), 10**digits - 1)))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(pminus1_primes(stage2=True), big_primes())
+def test_p_minus_1_stage_2_finds_one_large_prime_of_p_minus_1(p, r):
+    assert factor._pminus1(p * r) == p
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(pminus1_primes(stage2=False), big_primes())
+def test_p_minus_1_stage_1_finds_a_powersmooth_p_minus_1(p, r):
+    assert factor._pminus1(p * r) == p
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=2).flatmap(
+    lambda kinds: st.tuples(*(pminus1_primes(stage2=k, size=1) for k in kinds))))
+@example(primes=(379250867, 46959443))  # both found in one block of stage 2
+def test_p_minus_1_with_two_smooth_primes_falls_through_to_ecm(primes):
+    # p - 1 finds both primes, at once or apart; without a pretest it runs
+    # before the first curve, and ECM splits what it leaves
+    p, q = primes
+    assume(p != q)
+    assert factor._pminus1(p * q) in (p, q, p * q)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = recording_pminus1(patch)
+        patch.setattr(factor, "_ECM_PRETEST", 0)
+        patch.setattr(factor, "_RHO_CAP", 0)
+        assert factorize(p * q) == sorted([(p, 1), (q, 1)])
+    assert calls == [p * q]
+
+
+@pytest.mark.parametrize("found", ["nothing", "everything", "one prime"])
+def test_p_minus_1_skips_the_divisors_of_a_composite_it_failed_on(monkeypatch, found):
+    # whether p - 1 finds a prime depends on that prime alone, so after it
+    # finds nothing, or every prime at once, it is not tried on a divisor
+    primes = (1000003, 1000033, 1000037)
+    n = math.prod(primes)
+    calls = []
+
+    def least_prime(m, *args):
+        return min(p for p in primes if m % p == 0)
+
+    def stub(m):
+        calls.append(m)
+        return {"nothing": 1, "everything": m, "one prime": least_prime(m)}[found]
+
+    monkeypatch.setattr(factor, "_pminus1", stub)
+    monkeypatch.setattr(factor, "_ecm_curve", least_prime)
+    monkeypatch.setattr(factor, "_ECM_PRETEST", 0)
+    monkeypatch.setattr(factor, "_RHO_CAP", 0)
+    assert factorize(n) == [(p, 1) for p in primes]
+    assert calls == ([n, n // primes[0]] if found == "one prime" else [n])
 
 
 def test_factorize_round_trip():
