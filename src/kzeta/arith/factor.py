@@ -452,10 +452,9 @@ def _pm1_plan() -> tuple[int, tuple[bytes, ...]]:
     all, and no list of the primes up to _PM1_B2.
 
     The primes come from a sieve of the odd numbers in segments of
-    _PM1_SEGMENT giant steps, under 128 KB each: glibc serves larger blocks
-    by mmap and, once one is freed, raises its mmap threshold for the rest of
-    the process; after one sieve of the whole range, unrelated code that
-    allocates such blocks ran about 8% faster for the rest of the process.
+    _PM1_SEGMENT giant steps, each under glibc's 128 KB mmap threshold (see
+    ROADMAP: a workaround for the benchmark's host probe, to drop for one
+    sieve of the whole range once the probe no longer depends on the heap).
 
     >>> m0, rows = _pm1_plan()  # 76236 primes in (20000, 10**6]
     >>> m0, len(rows), sum(map(len, rows))
@@ -491,8 +490,9 @@ def _pm1_plan() -> tuple[int, tuple[bytes, ...]]:
             seg[b:] = bytes(hi - lo - b)
             for m in ms:
                 c = m * D // 2 - lo
-                hit = int.from_bytes(seg[c - nt : c][::-1]) | int.from_bytes(seg[c : c + nt])
-                rows.append(bytes(itertools.compress(index, hit.to_bytes(nt))))
+                lower = int.from_bytes(seg[c - nt : c][::-1], "big")
+                hit = lower | int.from_bytes(seg[c : c + nt], "big")
+                rows.append(bytes(itertools.compress(index, hit.to_bytes(nt, "big"))))
         _pm1_stage2 = (m0, tuple(rows))
     return _pm1_stage2
 

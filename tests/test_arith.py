@@ -2,12 +2,10 @@
 values in prime-power cyclotomic fields."""
 
 import bisect
-import contextlib
 import functools
 import hashlib
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -34,6 +32,7 @@ from kzeta.arith.factor import (
     _PM1_B2,
     _SEGMENT,
     _TRIAL_BLOCK,
+    _TRIAL_BOUND,
     _count_ones,
     _count_primes_one_mod,
     _trial_block_table,
@@ -575,29 +574,20 @@ def test_factorize_korder_pins(m, k):
     assert factorize(order) == want
 
 
-@contextlib.contextmanager
-def alarm(seconds):
-    """Raise TimeoutError in the enclosed code after seconds of wall time."""
-
-    def fire(signum, frame):
-        raise TimeoutError("over %g s" % seconds)
-
-    previous = signal.signal(signal.SIGALRM, fire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_p_minus_1_factors_the_order_at_23_5_quickly():
+def test_p_minus_1_factors_the_order_at_23_5_before_the_long_curves(monkeypatch):
     # 16673514445457 - 1 = 2^4 * 11 * 23 * 73 * 107 * 527327: stage 2 of
-    # p - 1 finds it right after the pretest; the curves at B1 = 10**5 that
-    # follow took over 2 s
+    # p - 1 finds it right after the pretest, so no curve at the trial bound
+    # runs; each such curve takes 0.3 s or more, and they took over 2 s here
     order = korder_order(23, 5)
-    with alarm(0.5):
-        assert factorize(order) == KORDER_FACTORS[23, 5]
+    curve = factor._ecm_curve
+
+    def pretest_curve(n, sigma, b1, b2):
+        if b1 == _TRIAL_BOUND:
+            pytest.fail("a curve at the trial bound ran")
+        return curve(n, sigma, b1, b2)
+
+    monkeypatch.setattr(factor, "_ecm_curve", pretest_curve)
+    assert factorize(order) == KORDER_FACTORS[23, 5]
 
 
 # randrange calls of factorize at the default seed on the orders that ECM
