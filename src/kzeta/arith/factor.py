@@ -11,11 +11,14 @@ prime, or composite and too large for the walk to finish.  Brent's rho then
 gets a fixed number of steps per composite, which splits off factors of up
 to about 7 digits.  Lenstra's elliptic-curve method takes the composites rho
 leaves: rho's cost grows as the square root of the factor it finds, the
-curves' cost only subexponentially in that factor's size.  A short pretest
-of cheap curves comes first, then curves with stage-1 bound 10**5.  Between
-the two, Pollard's p - 1 gets one try per composite: it finds, in tens of
-milliseconds, any prime p whose p - 1 is smooth, whatever its size, where
-one curve at 10**5 costs 0.3 s or more.  Rho and every curve draw their
+curves' cost only subexponentially in that factor's size.  The curves'
+stage-1 bound grows by 10% per curve (Brent, Austral. Comp. Sci. Comm. 8
+(1986)), from 100 over a short pretest of cheap curves and then over a ramp
+to 10**5, where it stays: a factor of unknown size is met by curves whose
+cost fits it.  After the pretest, Pollard's p - 1 gets one try per
+composite: it finds, in tens of milliseconds, any prime p whose p - 1 is
+smooth, whatever its size, where one curve at 10**5 costs 0.3 s or more.
+Rho and every curve draw their
 parameters from one generator seeded by the caller, so a seed fixes the work
 done; p - 1 draws nothing, and the factorization does not depend on the seed.
 Primes = 1 (mod q) up to x are counted by a segmented sieve of the odd
@@ -57,9 +60,10 @@ _SEGMENT = 1 << 18  # terms of the progression per segment of the counting sieve
 # 65521, so the sum of a run of 0 and 1 bytes never wraps.
 _ADLER_RUN = 65519
 _RHO_CAP = 1 << 13  # steps of Brent's rho per composite before ECM takes it
-# ECM: a pretest of _ECM_PRETEST curves whose stage-1 bound B1 grows from
-# _ECM_B1 by _ECM_GROWTH per curve (to 673), then every curve at the trial
-# bound.  Stage 2 runs to _ECM_B2 * B1 in giant steps of _ECM_D.
+# ECM: the stage-1 bound B1 grows from _ECM_B1 by _ECM_GROWTH per curve, over
+# a pretest of _ECM_PRETEST curves (to 673) and a ramp of 52 more (740 to
+# 95559), then every curve runs at the trial bound.  Stage 2 runs to
+# _ECM_B2 * B1 in giant steps of _ECM_D.
 _ECM_B1 = 100
 _ECM_GROWTH = 1.1
 _ECM_PRETEST = 21
@@ -67,8 +71,8 @@ _ECM_B2 = 50
 _ECM_D = 210
 _ECM_CHUNK_BITS = 4096  # bits of the stage-1 multiplier per ladder, one gcd each
 _ECM_BLOCK = 256  # giant steps of stage 2 held at once, with one gcd
-# Pollard p - 1, once per composite between the pretest and the first curve at
-# the trial bound: stage 1 to _PM1_B1, then stage 2 over the primes up to
+# Pollard p - 1, once per composite between the pretest and the first curve
+# past it: stage 1 to _PM1_B1, then stage 2 over the primes up to
 # _PM1_B2 in giant steps of _PM1_D, one gcd per _PM1_BLOCK giant steps.
 _PM1_B1 = 20000
 _PM1_B2 = 10**6
@@ -80,8 +84,8 @@ _PM1_SEGMENT = 64  # giant steps per segment of the sieve behind _pm1_plan
 # and emptying the caches of kzeta must not make the next call rebuild them.
 _small_primes: list[int] | None = None
 _trial_blocks: list[tuple[int, list[int]]] | None = None
-# b1 -> _stage1_chunks(b1); factorize asks for the _ECM_PRETEST + 1 bounds of
-# _ecm_bounds() and for _PM1_B1
+# b1 -> _stage1_chunks(b1); factorize asks for the 73 bounds below the trial
+# bound of _ecm_bounds(), for the trial bound and for _PM1_B1
 _stage1_tables: dict[int, tuple[int, ...]] = {}
 _pm1_stage2: tuple[int, tuple[bytes, ...]] | None = None  # _pm1_plan()
 
@@ -551,10 +555,19 @@ def _pminus1(n: int) -> int:
 
 
 def _ecm_bounds():
-    """Stage-1 bounds of successive curves: the pretest's, growing from
-    _ECM_B1, then the trial bound for good."""
-    for i in range(_ECM_PRETEST):
-        yield round(_ECM_B1 * _ECM_GROWTH**i)
+    """Stage-1 bounds of successive curves: growing from _ECM_B1 by
+    _ECM_GROWTH per curve, the pretest's and then the ramp's, until they
+    reach the trial bound, and the trial bound for good from there.
+
+    >>> b1s = list(itertools.islice(_ecm_bounds(), 75))
+    >>> b1s[_ECM_PRETEST - 1 : _ECM_PRETEST + 1], b1s.index(_TRIAL_BOUND), b1s[-3:]
+    ([673, 740], 73, [95559, 100000, 100000])
+    """
+    for i in itertools.count():
+        b1 = round(_ECM_B1 * _ECM_GROWTH**i)
+        if b1 >= _TRIAL_BOUND:
+            break
+        yield b1
     yield from itertools.repeat(_TRIAL_BOUND)
 
 
@@ -566,14 +579,15 @@ def _ecm(n: int, rng: random.Random, b1s, pm1: bool) -> tuple[int, bool]:
     Each curve takes its stage-1 bound b1 from the iterator b1s, shared by
     every composite of one factorization, and its sigma from rng, and runs
     stage 2 to _ECM_B2 * b1.  When pm1 is set, _pminus1 runs once before the
-    first curve at the trial bound; where it fails on n it fails on every
+    first curve past the pretest; where it fails on n it fails on every
     divisor of n too, since whether it finds a prime depends on that prime
     alone.  n must be composite and free of the primes of the first trial
     block.
     """
+    past_pretest = round(_ECM_B1 * _ECM_GROWTH**_ECM_PRETEST)  # the 22nd curve's b1
     while True:
         b1 = next(b1s)
-        if pm1 and b1 == _TRIAL_BOUND:
+        if pm1 and b1 >= past_pretest:
             g = _pminus1(n)
             if g != 1 and g != n:
                 return g, True
@@ -589,13 +603,17 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     Four stages: trial division by the primes below the trial bound, then
     Brent's rho on each composite left, stopped after _RHO_CAP steps, then
     the elliptic-curve method on the composites rho leaves, with Pollard's
-    p - 1 inside it.  The curves share one schedule of stage-1 bounds: a
-    pretest of _ECM_PRETEST curves whose bound grows from _ECM_B1 by
-    _ECM_GROWTH per curve mostly finds factors of up to about 13 digits in
-    a few hundredths of a second, and every later curve runs at the trial
-    bound, 10**5, which costs 0.3 s or more per curve and suits factors of
-    about 14 to 25 digits.  A composite that reaches the first such curve
-    first gets one run of p - 1, with bounds _PM1_B1 = 20000 and
+    p - 1 inside it.  The curves share one schedule of stage-1 bounds
+    (_ecm_bounds), which grows from _ECM_B1 by _ECM_GROWTH per curve.  Its
+    pretest of _ECM_PRETEST curves, to 673, mostly finds factors of up to
+    about 13 digits in a few hundredths of a second; its ramp of 52 more
+    curves, from 740 to 95559, finds most factors of 13 to 16 digits in
+    tenths of a second, where the optimal bound for a 15-digit factor is
+    about 2000 (Zimmermann and Dodson, ANTS VII (2006)); every later curve
+    runs at the trial bound, 10**5, which costs 0.3 s or more per curve and
+    suits factors of about 17 to 25 digits; the ramp costs about as much as
+    ten such curves.  A composite that reaches the first curve past the
+    pretest first gets one run of p - 1, with bounds _PM1_B1 = 20000 and
     _PM1_B2 = 10**6, unless p - 1 already failed on a multiple of it; it
     splits off any prime p whose p - 1 is 20000-powersmooth times one prime
     up to 10**6, at any size, in tens of milliseconds.
