@@ -18,9 +18,9 @@ to 10**5, where it stays: a factor of unknown size is met by curves whose
 cost fits it.  After the pretest, Pollard's p - 1 gets one try per
 composite: it finds, in tens of milliseconds, any prime p whose p - 1 is
 smooth, whatever its size, where one curve at 10**5 costs 0.3 s or more.
-Rho and every curve draw their
-parameters from one generator seeded by the caller, so a seed fixes the work
-done; p - 1 draws nothing, and the factorization does not depend on the seed.
+Rho and every curve draw their parameters from one generator seeded by the
+caller, so a seed fixes the work done; p - 1 draws nothing, and the
+factorization does not depend on the seed.
 Primes = 1 (mod q) up to x are counted by a segmented sieve of the odd
 numbers = 1 (mod q) alone, in memory O(sqrt(x)) and time about x/q.  The
 survivors of each segment are counted by zlib's Adler-32 checksum, whose low
@@ -555,9 +555,9 @@ def _pminus1(n: int) -> int:
 
 
 def _ecm_bounds():
-    """Stage-1 bounds of successive curves: growing from _ECM_B1 by
-    _ECM_GROWTH per curve, the pretest's and then the ramp's, until they
-    reach the trial bound, and the trial bound for good from there.
+    """Stage-1 bounds of successive curves: _ECM_B1 * _ECM_GROWTH**i for
+    curve i, rounded, over the pretest and the ramp after it, until that
+    reaches the trial bound; then the trial bound for good.
 
     >>> b1s = list(itertools.islice(_ecm_bounds(), 75))
     >>> b1s[_ECM_PRETEST - 1 : _ECM_PRETEST + 1], b1s.index(_TRIAL_BOUND), b1s[-3:]
@@ -606,13 +606,13 @@ def factorize(n: int, seed: int | None = None) -> list[tuple[int, int]]:
     p - 1 inside it.  The curves share one schedule of stage-1 bounds
     (_ecm_bounds), which grows from _ECM_B1 by _ECM_GROWTH per curve.  Its
     pretest of _ECM_PRETEST curves, to 673, mostly finds factors of up to
-    about 13 digits in a few hundredths of a second; its ramp of 52 more
-    curves, from 740 to 95559, finds most factors of 13 to 16 digits in
-    tenths of a second, where the optimal bound for a 15-digit factor is
-    about 2000 (Zimmermann and Dodson, ANTS VII (2006)); every later curve
-    runs at the trial bound, 10**5, which costs 0.3 s or more per curve and
-    suits factors of about 17 to 25 digits; the ramp costs about as much as
-    ten such curves.  A composite that reaches the first curve past the
+    about 13 digits in a few hundredths of a second.  Its ramp of 52 more
+    curves, from 740 to 95559, meets a factor of 13 to 16 digits near its
+    optimal bound, about 2000 for 15 digits (Zimmermann and Dodson, ANTS
+    VII (2006)), long before the trial bound, and costs about as much as
+    ten curves at that bound.  Every later curve runs at the trial bound,
+    10**5, which costs 0.3 s or more per curve and suits factors of up to
+    about 25 digits.  A composite that reaches the first curve past the
     pretest first gets one run of p - 1, with bounds _PM1_B1 = 20000 and
     _PM1_B2 = 10**6, unless p - 1 already failed on a multiple of it; it
     splits off any prime p whose p - 1 is 20000-powersmooth times one prime

@@ -4,6 +4,7 @@ values in prime-power cyclotomic fields."""
 import bisect
 import functools
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -548,14 +549,21 @@ def test_factorize_splits_products_of_large_primes(primes):
         assert factorize(n, seed=seed) == [(p, 1) for p in primes]
 
 
-# Full factorizations of #K_14 of Q(zeta_17)^+, #K_10 of Q(zeta_23)^+ and
-# #K_6 of Q(zeta_37)^+, checked once against sympy.factorint.
+# Full factorizations of #K_14 of Q(zeta_17)^+, #K_10 of Q(zeta_23)^+ and of
+# Q(zeta_37)^+, and #K_6 of Q(zeta_37)^+ and of Q(zeta_43)^+, checked once
+# against sympy.factorint.
 KORDER_FACTORS = {
     (17, 7): [(2, 3), (5, 1), (19, 1), (137, 1), (241, 1), (2753, 1), (78241, 1),
               (1576363, 1), (1222730300837, 1), (10676097582233, 1)],
     (23, 5): [(2, 11), (11, 1), (16673514445457, 1), (77071163692043863104779051635544803, 1)],
     (37, 3): [(3, 2), (7, 1), (37, 1), (109, 1), (1129, 1), (18919, 1), (211153, 1),
               (433513, 1), (15091399, 1), (61486126381, 1), (1350582605839, 1)],
+    (37, 5): [(2, 18), (3, 2), (5, 1), (7, 4), (37, 1), (109, 1), (1801, 1), (10369, 1),
+              (12703, 1), (23173, 1), (25471, 1), (171469, 1), (1266233977, 1),
+              (1999303573, 1), (2034277813, 1), (62454092545027, 1),
+              (391167337077830824164954037, 1)],
+    (43, 3): [(2, 2), (7, 1), (127, 1), (421, 1), (2683, 1), (13217, 1), (15847847, 1),
+              (41317907, 1), (425451623609083, 1), (3024007534903419166845163, 1)],
 }
 
 
@@ -574,20 +582,35 @@ def test_factorize_korder_pins(m, k):
     assert factorize(order) == want
 
 
-def test_p_minus_1_factors_the_order_at_23_5_before_the_long_curves(monkeypatch):
-    # 16673514445457 - 1 = 2^4 * 11 * 23 * 73 * 107 * 527327: stage 2 of
-    # p - 1 finds it right after the pretest, so no curve at the trial bound
-    # runs; each such curve takes 0.3 s or more, and they took over 2 s here
-    order = korder_order(23, 5)
+@pytest.mark.parametrize("m,k", [(17, 7), (23, 5), (37, 5), (43, 3)])
+def test_korder_orders_factor_before_the_long_curves(monkeypatch, m, k):
+    # at (23,5), 16673514445457 - 1 = 2^4 * 11 * 23 * 73 * 107 * 527327, and
+    # stage 2 of p - 1 finds it right after the pretest; the 13-15-digit
+    # primes of the other orders fall to curves of the ramp (b1 = 895, 1083
+    # and 2323 at the default seed).  So no curve at the trial bound runs;
+    # each takes 0.3 s or more, and they took 0.3-1.8 s here, over 2 s at (23,5)
+    order = korder_order(m, k)
     curve = factor._ecm_curve
 
-    def pretest_curve(n, sigma, b1, b2):
+    def short_curve(n, sigma, b1, b2):
         if b1 == _TRIAL_BOUND:
             pytest.fail("a curve at the trial bound ran")
         return curve(n, sigma, b1, b2)
 
-    monkeypatch.setattr(factor, "_ecm_curve", pretest_curve)
-    assert factorize(order) == KORDER_FACTORS[23, 5]
+    monkeypatch.setattr(factor, "_ecm_curve", short_curve)
+    assert factorize(order) == KORDER_FACTORS[m, k]
+
+
+def test_ecm_bounds_ramp_from_the_pretest_to_the_trial_bound():
+    b1s = list(itertools.islice(factor._ecm_bounds(), 100))
+    pretest, ramp, rest = b1s[:21], b1s[21:73], b1s[73:]
+    # the pretest's bounds, on which PRETEST_DRAWS were recorded
+    assert factor._ECM_PRETEST == len(pretest)
+    assert pretest == [100, 110, 121, 133, 146, 161, 177, 195, 214, 236, 259, 285, 314, 345,
+                       380, 418, 459, 505, 556, 612, 673]
+    assert len(ramp) == 52 and (ramp[0], ramp[-1]) == (740, 95559)
+    assert all(a < b for a, b in zip(b1s[:72], b1s[1:73])) and b1s[72] < _TRIAL_BOUND
+    assert rest == [_TRIAL_BOUND] * 27
 
 
 # randrange calls of factorize at the default seed on the orders that ECM
